@@ -613,7 +613,7 @@ def _run_sparsify(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
                 "loss_final": float(loss_final),
                 "survivors_a": int(select_survivors(scores_a, rule, set_a.coords).size),
                 "survivors_b": int(select_survivors(scores_b, rule, set_b.coords).size),
-                "seed": train_seed,
+                "seed": cfg.seed,
             }
         )
     return rows, True

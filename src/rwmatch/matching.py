@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .attention import ProbabilityWeights
 
@@ -42,6 +41,11 @@ DEFAULT_EPS = 0.1
 DEFAULT_ALPHA = 1.0
 DEFAULT_MAX_ITERS = 200
 DEFAULT_TOL = 1e-9
+
+# exp-domain scalings outside this range are absorbed into the log-domain
+# potentials.  It bounds what a kernel entry lost to underflow (below 1e-308)
+# could have contributed to the plan: less than 1e-308 * 1e50 * 1e50.
+_SCALING_RANGE = (1e-50, 1e50)
 
 
 class NumericalError(RuntimeError):
@@ -102,6 +106,15 @@ def marginals(
     return a, b
 
 
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along ``axis`` with a max shift; all -inf slices give -inf."""
+    shift = np.max(x, axis=axis, keepdims=True)
+    shift[np.isneginf(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(x - shift), axis=axis, keepdims=True))
+    return np.squeeze(out + shift, axis=axis)
+
+
 def sinkhorn(
     sbar: np.ndarray,
     a: np.ndarray,
@@ -110,14 +123,20 @@ def sinkhorn(
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
 ) -> AugmentedAssignment:
-    """Entropic transport plan by alternating scaling, in the log domain.
+    """Entropic transport plan by alternating scaling, in the exp domain with
+    log-domain absorption.
 
     Solves for plan P = diag(u) K diag(v) with K = exp(sbar / eps), row sums
     a and column sums b, via the updates u = a / (K v), v = b / (K' u),
-    starting from u = a, v = b.  All scalings are stored as logarithms and
-    combined with log-sum-exp, so large score-to-eps ratios cannot overflow.
-    Zero marginal entries pin the matching plan rows or columns to exact
-    zeros.
+    starting from v = b.  The first iteration runs in the log domain and its
+    scalings are absorbed into potentials f, g, giving the stabilized kernel
+    exp(sbar / eps + f_i + g_j), which is the current plan.  Later iterations
+    are matrix-vector products against that kernel.  When a scaling becomes
+    non-finite or leaves a fixed range, it is absorbed into the potentials
+    and the iteration is taken in the log domain instead, so large
+    score-to-eps ratios cannot overflow (Schmitzer, SIAM J. Sci. Comput.
+    2019).  Zero marginal entries pin the matching plan rows or columns to
+    exact zeros.
 
     Iterates until the infinity norm of the row-sum violation, checked after
     each column update (column sums are exact there by construction), drops
@@ -142,28 +161,56 @@ def sinkhorn(
     with np.errstate(divide="ignore"):
         log_a = np.log(a)
         log_b = np.log(b)
+    # rows and columns with zero marginal have zero kernel rows and columns;
+    # their scalings are held at 1 rather than 0/0
+    zero_rows = np.flatnonzero(a == 0.0)
+    zero_cols = np.flatnonzero(b == 0.0)
+    lo, hi = _SCALING_RANGE
 
-    # starting from v = b, the first half-iteration below is the u update
-    log_v = log_b.copy()
-    log_u = log_a.copy()
-    row_lse = logsumexp(log_k + log_v[None, :], axis=1)
+    # the plan is u_i kernel_ij v_j, where the kernel carries the absorbed
+    # log scalings f and g; the loop builds it on its first iteration
+    f, g = log_a, log_b
+    kernel = None
+    u = np.ones_like(a)
+    v = np.ones_like(b)
+    absorb = True
     iterations = 0
-    for iterations in range(1, max_iters + 1):
-        log_u = log_a - row_lse
-        col_lse = logsumexp(log_k + log_u[:, None], axis=0)
-        log_v = log_b - col_lse
-        if np.any(np.isnan(log_u)) or np.any(np.isnan(log_v)):
-            raise NumericalError(
-                f"sinkhorn produced non-finite scalings at iteration {iterations}"
-            )
-        # the row log-sum-exp doubles as the residual check and is reused by
-        # the next u update, so each iteration costs two log-sum-exp sweeps
-        row_lse = logsumexp(log_k + log_v[None, :], axis=1)
-        row_sums = np.exp(log_u + row_lse)
-        if np.max(np.abs(row_sums - a)) <= tol:
-            break
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for iterations in range(1, max_iters + 1):
+            if not absorb:
+                u_next = a / kernel_v
+                u_next[zero_rows] = 1.0
+                v_next = b / (u_next @ kernel)
+                v_next[zero_cols] = 1.0
+                # min and max are NaN when any entry is, failing the test
+                absorb = not (
+                    lo <= u_next.min() and u_next.max() <= hi
+                    and lo <= v_next.min() and v_next.max() <= hi
+                )
+            if absorb:
+                # fold v into g and take this iteration in the log domain
+                g = g + np.log(v)
+                f = log_a - _logsumexp(log_k + g[None, :], axis=1)
+                g = log_b - _logsumexp(log_k + f[:, None], axis=0)
+                if np.any(np.isnan(f)) or np.any(np.isnan(g)):
+                    raise NumericalError(
+                        f"sinkhorn produced non-finite scalings at iteration {iterations}"
+                    )
+                kernel = np.exp(log_k + f[:, None] + g[None, :])
+                u = np.ones_like(a)
+                v = np.ones_like(b)
+                absorb = False
+            else:
+                u, v = u_next, v_next
+            # K v doubles as the residual check and is reused by the next u
+            # update, so each iteration costs two matrix-vector products
+            kernel_v = kernel @ v
+            if np.max(np.abs(u * kernel_v - a)) <= tol:
+                break
 
-    plan = np.exp(log_u[:, None] + log_k + log_v[None, :])
+    if kernel is None:  # max_iters < 1: the plan of the starting scalings
+        kernel = np.exp(log_k + f[:, None] + g[None, :])
+    plan = u[:, None] * kernel * v[None, :]
     residual = max(
         float(np.max(np.abs(plan.sum(axis=1) - a))),
         float(np.max(np.abs(plan.sum(axis=0) - b))),
@@ -228,8 +275,8 @@ def dual_softmax(scores: np.ndarray) -> np.ndarray:
         raise ValueError("scores must be a 2-D matrix")
     log_ds = (
         2.0 * scores
-        - logsumexp(scores, axis=1, keepdims=True)
-        - logsumexp(scores, axis=0, keepdims=True)
+        - _logsumexp(scores, axis=1)[:, None]
+        - _logsumexp(scores, axis=0)[None, :]
     )
     return np.exp(log_ds)
 
@@ -258,8 +305,8 @@ def dual_softmax_reweighted(
         log_pa[:, None]
         + log_pb[None, :]
         + 2.0 * scores
-        - logsumexp(scores + log_pb[None, :], axis=1, keepdims=True)
-        - logsumexp(scores + log_pa[:, None], axis=0, keepdims=True)
+        - _logsumexp(scores + log_pb[None, :], axis=1)[:, None]
+        - _logsumexp(scores + log_pa[:, None], axis=0)[None, :]
     )
     # -inf log weights produce -inf log entries; exp maps them to exact zeros
     return np.exp(log_ds)

@@ -292,3 +292,4 @@ class TestMain:
         header = lines[2].split(",")
         assert "l1_final" in header and "survivors_a" in header
         assert len(lines) == 4
+        assert lines[3].split(",")[header.index("seed")] == "6"

@@ -1,10 +1,15 @@
 """Unit tests for dustbin-augmented transport and dual-softmax matching."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.special import softmax
+from scipy.special import logsumexp, softmax
 
+import rwmatch
 from rwmatch.attention import ProbabilityWeights
 from rwmatch.matching import (
     NumericalError,
@@ -17,12 +22,49 @@ from rwmatch.matching import (
     score_matrix,
     sinkhorn,
 )
+from rwmatch.sampling import random_feature_set
+from rwmatch.transformer import forward_reweighted, random_transformer_spec
 
 
 def random_problem(rng, n_a=6, n_b=8, d=4, scale=0.5):
     tokens_a = scale * rng.standard_normal((d, n_a)) / np.sqrt(d)
     tokens_b = scale * rng.standard_normal((d, n_b)) / np.sqrt(d)
     return tokens_a, tokens_b
+
+
+def reference_sinkhorn(sbar, a, b, eps, max_iters, tol):
+    """Log-domain Sinkhorn with scipy's log-sum-exp: every scaling stored as a
+    logarithm, two full log-sum-exp sweeps per iteration.  Returns (plan,
+    iterations, converged) under the same stopping rule as ``sinkhorn``."""
+    log_k = sbar / eps
+    with np.errstate(divide="ignore"):
+        log_a = np.log(a)
+        log_b = np.log(b)
+    log_u = log_a.copy()
+    log_v = log_b.copy()
+    row_lse = logsumexp(log_k + log_v[None, :], axis=1)
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        log_u = log_a - row_lse
+        log_v = log_b - logsumexp(log_k + log_u[:, None], axis=0)
+        row_lse = logsumexp(log_k + log_v[None, :], axis=1)
+        if np.max(np.abs(np.exp(log_u + row_lse) - a)) <= tol:
+            break
+    plan = np.exp(log_u[:, None] + log_k + log_v[None, :])
+    residual = max(np.abs(plan.sum(axis=1) - a).max(), np.abs(plan.sum(axis=0) - b).max())
+    return plan, iterations, residual <= tol
+
+
+def pipeline_transport_problem(d, n_heads, n_points):
+    """Augmented scores and marginals of a ``forward_reweighted`` pair: the
+    inputs the transport route of the pipeline really produces."""
+    spec = random_transformer_spec(np.random.default_rng(0), d=d, n_heads=n_heads)
+    rng = np.random.default_rng([0, n_points])
+    set_a = random_feature_set(rng, n_points=n_points, grid=64.0)
+    set_b = random_feature_set(rng, n_points=n_points - n_points // 8, grid=64.0)
+    tokens_a, tokens_b = forward_reweighted(spec, set_a, set_b)
+    a, b = marginals(set_a.probs, set_b.probs)
+    return augment(score_matrix(tokens_a, tokens_b), 1.0), a, b
 
 
 class TestScoreMatrix:
@@ -137,6 +179,66 @@ class TestSinkhorn:
         u = np.array([0.5, np.nan])
         with pytest.raises((ValueError, NumericalError)):
             sinkhorn(np.zeros((2, 2)), u, u, eps=0.1)
+
+
+def _pipeline_case(d, n_heads, n_points):
+    sbar, a, b = pipeline_transport_problem(d, n_heads, n_points)
+    return sbar, a, b, 0.1, 200, 1e-9
+
+
+def _zero_marginal_case():
+    rng = np.random.default_rng(18)
+    sbar = rng.uniform(-1, 1, size=(7, 6))
+    a = np.concatenate([rng.dirichlet(np.ones(6)), [0.0]])[[0, 1, 6, 2, 3, 4, 5]]
+    b = np.concatenate([rng.dirichlet(np.ones(5)), [0.0]])[[5, 0, 1, 2, 3, 4]]
+    return sbar, a, b, 0.2, 200, 1e-12
+
+
+def _extreme_ratio_case():
+    rng = np.random.default_rng(6)
+    sbar = rng.uniform(-1, 1, size=(4, 5)) * 500.0
+    return sbar, rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(5)), 0.05, 2000, 1e-9
+
+
+class TestSinkhornAgainstLogDomainReference:
+    """The exp-domain solver follows the log-domain trajectory: same stopping
+    iteration, same converged flag, plans equal to round-off."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param(lambda: _pipeline_case(8, 2, 16), id="d8-n16"),
+            pytest.param(lambda: _pipeline_case(8, 2, 64), id="d8-n64"),
+            pytest.param(lambda: _pipeline_case(64, 4, 16), id="d64-n16"),
+            pytest.param(lambda: _pipeline_case(64, 4, 64), id="d64-n64"),
+            pytest.param(_zero_marginal_case, id="zero-marginal"),
+            pytest.param(_extreme_ratio_case, id="extreme-ratio"),
+        ],
+    )
+    def test_matches_reference(self, case):
+        sbar, a, b, eps, max_iters, tol = case()
+        plan, iterations, converged = reference_sinkhorn(sbar, a, b, eps, max_iters, tol)
+        result = sinkhorn(sbar, a, b, eps, max_iters=max_iters, tol=tol)
+        assert result.iterations == iterations
+        assert result.converged == converged
+        assert_allclose(result.plan, plan, rtol=0, atol=1e-12)
+
+
+class TestSinkhornOnPipelineScores:
+    @pytest.mark.parametrize("n_points", [16, 256])
+    def test_converges_at_defaults_on_d8_network(self, n_points):
+        sbar, a, b = pipeline_transport_problem(8, 2, n_points)
+        result = sinkhorn(sbar, a, b, eps=0.1)
+        assert result.converged
+        assert result.residual <= 1e-9
+
+
+def test_import_does_not_load_scipy():
+    """scipy is a test-only dependency: the library runs on numpy alone."""
+    src = os.path.dirname(os.path.dirname(rwmatch.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, rwmatch; assert 'scipy' not in sys.modules, 'scipy imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestOtRoutes:

@@ -2,8 +2,8 @@
 
 The package provides three layers:
 
-* core numerics: similarity functions, standard and reweighted attention,
-  entropic transport with a dustbin, and dual-softmax matching;
+* core numerics: standard and reweighted attention with softmax or linear
+  similarity, entropic transport with a dustbin, and dual-softmax matching;
 * a two-set attention network runnable in standard mode on i.i.d. samples
   and in reweighted mode on full feature sets, plus the sampling harness
   that measures how fast the first converges to the second;
@@ -27,7 +27,6 @@ from .attention import (
     linear_phi,
     relu,
     reweighted_attention_matrix,
-    similarity,
 )
 from .matching import (
     DEFAULT_ALPHA,

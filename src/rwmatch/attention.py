@@ -1,4 +1,4 @@
-"""Similarity functions and attention matrices, standard and probability-reweighted.
+"""Similarity kinds and attention matrices, standard and probability-reweighted.
 
 Tokens are stored column-wise: a token matrix has shape (d, n) where column j
 is the token of point j.  An attention matrix has shape (n_K, n_Q); entry
@@ -8,6 +8,11 @@ The reweighted variant multiplies each key's similarity by a per-key
 probability before normalizing, so keys with zero probability contribute
 nothing and their rows are exactly zero.  With uniform probabilities the
 weights cancel and the reweighted matrix equals the standard one.
+
+Every route builds its unnormalized n_K x n_Q matrix once and transforms it
+in place.  The matrix functions then divide each column by its sum; an
+attention layer never forms the normalized matrix, but aggregates values
+against the unnormalized one and divides the d x n_Q result instead.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ __all__ = [
     "AttentionLayerParams",
     "relu",
     "linear_phi",
-    "similarity",
     "attention_matrix",
     "reweighted_attention_matrix",
     "attention_layer_forward",
@@ -195,17 +199,6 @@ class AttentionLayerParams:
         return self.heads[0].d
 
 
-def similarity(sim: Similarity, k: np.ndarray, q: np.ndarray) -> float:
-    """Scalar similarity of one key and one query; strictly positive."""
-    k = np.asarray(k, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if k.shape != q.shape or k.ndim != 1:
-        raise ValueError(f"k and q must be same-length vectors, got {k.shape} vs {q.shape}")
-    if isinstance(sim, SoftmaxSim):
-        return float(np.exp(k @ q / sim.tau))
-    return float(sim.phi(k) @ sim.phi(q))
-
-
 def _check_token_matrices(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys = np.asarray(keys, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -219,6 +212,32 @@ def _check_token_matrices(keys: np.ndarray, queries: np.ndarray) -> tuple[np.nda
     return keys, queries
 
 
+def _attention_numerator(
+    keys: np.ndarray,
+    queries: np.ndarray,
+    sim: Similarity,
+    weights: ProbabilityWeights | None,
+) -> np.ndarray:
+    """Unnormalized (reweighted) attention, n_K x n_Q, built in one array.
+
+    Column j is proportional to column j of the attention matrix.  Softmax
+    logits carry log p and are shifted by their column max before the
+    exponential, so no entry overflows; -inf logits at zero-weight keys
+    exponentiate to exact zeros, and the column max stays finite because at
+    least one weight is positive.
+    """
+    if isinstance(sim, SoftmaxSim):
+        num = (keys / sim.tau).T @ queries
+        if weights is not None:
+            num += weights.log()[:, None]
+        num -= num.max(axis=0)
+        return np.exp(num, out=num)
+    num = sim.phi(keys).T @ sim.phi(queries)
+    if weights is not None:
+        num *= weights.p[:, None]
+    return num
+
+
 def attention_matrix(keys: np.ndarray, queries: np.ndarray, sim: Similarity) -> np.ndarray:
     """Column-stochastic attention of queries over keys.
 
@@ -227,13 +246,9 @@ def attention_matrix(keys: np.ndarray, queries: np.ndarray, sim: Similarity) -> 
     avoid overflow of the exponentials.
     """
     keys, queries = _check_token_matrices(keys, queries)
-    if isinstance(sim, SoftmaxSim):
-        logits = keys.T @ queries / sim.tau
-        logits -= logits.max(axis=0, keepdims=True)
-        num = np.exp(logits)
-    else:
-        num = sim.phi(keys).T @ sim.phi(queries)
-    return num / num.sum(axis=0, keepdims=True)
+    num = _attention_numerator(keys, queries, sim, None)
+    num /= num.sum(axis=0)
+    return num
 
 
 def reweighted_attention_matrix(
@@ -253,15 +268,9 @@ def reweighted_attention_matrix(
         raise ValueError(
             f"weights length {len(weights)} does not match key count {keys.shape[1]}"
         )
-    if isinstance(sim, SoftmaxSim):
-        # -inf logits at zero-weight keys exponentiate to exact zeros; the
-        # column max stays finite because at least one weight is positive
-        logits = keys.T @ queries / sim.tau + weights.log()[:, None]
-        logits -= logits.max(axis=0, keepdims=True)
-        num = np.exp(logits)
-    else:
-        num = weights.p[:, None] * (sim.phi(keys).T @ sim.phi(queries))
-    return num / num.sum(axis=0, keepdims=True)
+    num = _attention_numerator(keys, queries, sim, weights)
+    num /= num.sum(axis=0)
+    return num
 
 
 def attention_layer_forward(
@@ -295,13 +304,10 @@ def attention_layer_forward(
 
     x = x_q.copy()
     for head in params.heads:
-        if weights is None:
-            attn = attention_matrix(head.w_k @ x_k, head.w_q @ x_q, params.sim)
-        else:
-            attn = reweighted_attention_matrix(
-                head.w_k @ x_k, head.w_q @ x_q, params.sim, weights
-            )
-        x += head.w_vo @ (x_v @ attn)
+        num = _attention_numerator(head.w_k @ x_k, head.w_q @ x_q, params.sim, weights)
+        # normalizing the d x n_Q aggregate equals aggregating the normalized
+        # n_K x n_Q attention, at a fraction of the cost
+        x += head.w_vo @ ((x_v @ num) / num.sum(axis=0))
 
     ffn = params.ffn
     hidden = ffn.act(ffn.w_1 @ x + ffn.b_1[:, None])

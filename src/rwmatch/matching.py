@@ -107,12 +107,17 @@ def marginals(
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(x))) along ``axis`` with a max shift; all -inf slices give -inf."""
+    """log(sum(exp(x))) along ``axis`` with a max shift; all -inf slices give -inf.
+
+    Overwrites ``x``: callers pass temporaries.
+    """
     shift = np.max(x, axis=axis, keepdims=True)
     shift[np.isneginf(shift)] = 0.0
+    x -= shift
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(x - shift), axis=axis, keepdims=True))
-    return np.squeeze(out + shift, axis=axis)
+        out = np.log(np.sum(np.exp(x, out=x), axis=axis, keepdims=True))
+    out += shift
+    return np.squeeze(out, axis=axis)
 
 
 def sinkhorn(
@@ -150,6 +155,9 @@ def sinkhorn(
         raise ValueError(
             f"scores {sbar.shape} do not match marginal sizes {a.size} x {b.size}"
         )
+    for name, m in (("a", a), ("b", b)):
+        if not (np.all(np.isfinite(m)) and np.all(m >= 0.0)):
+            raise ValueError(f"marginal {name} must be finite and nonnegative")
     if not np.all(np.isfinite(sbar)):
         raise ValueError("scores must be finite")
     if not (eps > 0.0):
@@ -268,17 +276,34 @@ def ot_reweighted(
     return sinkhorn(augment(scores, alpha), a, b, eps, max_iters=max_iters, tol=tol)
 
 
+def _dual_softmax(scores: np.ndarray, log_pa: np.ndarray, log_pb: np.ndarray) -> np.ndarray:
+    """exp(log p_A(i) + log p_B(j) + 2 s_ij - row_i - col_j), where row and col
+    are the log-sum-exps of s + log p_B along rows and of s + log p_A along
+    columns.  One n_A x n_B buffer holds both log-sum-exp arguments and then
+    the result.  -inf log weights give -inf log entries, which exponentiate
+    to exact zeros.
+    """
+    buf = scores + log_pb
+    row = _logsumexp(buf, axis=1)
+    np.add(scores, log_pa[:, None], out=buf)
+    col = _logsumexp(buf, axis=0)
+    # halving and doubling are exact, so 2 (t/2 + s) rounds like t + 2s:
+    # the log entries equal those of the one-line expression bit for bit
+    np.add(0.5 * log_pa[:, None], 0.5 * log_pb, out=buf)
+    buf += scores
+    buf *= 2.0
+    buf -= row[:, None]
+    buf -= col
+    return np.exp(buf, out=buf)
+
+
 def dual_softmax(scores: np.ndarray) -> np.ndarray:
     """Row softmax times column softmax of the scores, computed in log space."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError("scores must be a 2-D matrix")
-    log_ds = (
-        2.0 * scores
-        - _logsumexp(scores, axis=1)[:, None]
-        - _logsumexp(scores, axis=0)[None, :]
-    )
-    return np.exp(log_ds)
+    n_a, n_b = scores.shape
+    return _dual_softmax(scores, np.zeros(n_a), np.zeros(n_b))
 
 
 def dual_softmax_reweighted(
@@ -299,14 +324,4 @@ def dual_softmax_reweighted(
         raise ValueError("scores must be a 2-D matrix")
     if len(p_a) != scores.shape[0] or len(p_b) != scores.shape[1]:
         raise ValueError("probability lengths must match the score shape")
-    log_pa = p_a.log()
-    log_pb = p_b.log()
-    log_ds = (
-        log_pa[:, None]
-        + log_pb[None, :]
-        + 2.0 * scores
-        - _logsumexp(scores + log_pb[None, :], axis=1)[:, None]
-        - _logsumexp(scores + log_pa[:, None], axis=0)[None, :]
-    )
-    # -inf log weights produce -inf log entries; exp maps them to exact zeros
-    return np.exp(log_ds)
+    return _dual_softmax(scores, p_a.log(), p_b.log())

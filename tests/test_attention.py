@@ -1,4 +1,4 @@
-"""Unit tests for similarity functions and (reweighted) attention matrices."""
+"""Unit tests for similarity kinds, (reweighted) attention matrices and layers."""
 
 import numpy as np
 import pytest
@@ -17,11 +17,45 @@ from rwmatch.attention import (
     linear_phi,
     relu,
     reweighted_attention_matrix,
-    similarity,
 )
 
 
-def small_layer(rng, d=4, n_heads=2):
+def similarity(sim, k, q):
+    """Scalar similarity of one key and one query: the per-entry oracle."""
+    if isinstance(sim, SoftmaxSim):
+        return float(np.exp(k @ q / sim.tau))
+    return float(sim.phi(k) @ sim.phi(q))
+
+
+def reference_attention(keys, queries, sim, weights=None):
+    """The normalized attention matrix built one full-size array per step:
+    logits, plus log p, shifted, exponentiated, divided."""
+    if isinstance(sim, SoftmaxSim):
+        logits = keys.T @ queries / sim.tau
+        if weights is not None:
+            logits = logits + weights.log()[:, None]
+        logits -= logits.max(axis=0, keepdims=True)
+        num = np.exp(logits)
+    else:
+        num = sim.phi(keys).T @ sim.phi(queries)
+        if weights is not None:
+            num = weights.p[:, None] * num
+    return num / num.sum(axis=0, keepdims=True)
+
+
+def reference_layer_forward(x_q, x_k, x_v, params, weights=None):
+    """The layer as a per-head loop that normalizes each attention matrix
+    before aggregating the values against it."""
+    x = x_q.copy()
+    for head in params.heads:
+        attn = reference_attention(head.w_k @ x_k, head.w_q @ x_q, params.sim, weights)
+        x += head.w_vo @ (x_v @ attn)
+    ffn = params.ffn
+    hidden = ffn.act(ffn.w_1 @ x + ffn.b_1[:, None])
+    return x + ffn.w_2 @ hidden + ffn.b_2[:, None]
+
+
+def small_layer(rng, d=4, n_heads=2, sim=SoftmaxSim()):
     d_h, d_f = d // n_heads, 2 * d
     heads = tuple(
         AttentionHeadParams(
@@ -37,7 +71,7 @@ def small_layer(rng, d=4, n_heads=2):
         w_2=rng.standard_normal((d, d_f)),
         b_2=rng.standard_normal(d),
     )
-    return AttentionLayerParams(heads=heads, ffn=ffn, sim=SoftmaxSim())
+    return AttentionLayerParams(heads=heads, ffn=ffn, sim=sim)
 
 
 class TestProbabilityWeights:
@@ -98,10 +132,6 @@ class TestSimilarity:
         for tau in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 SoftmaxSim(tau=tau)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            similarity(SoftmaxSim(), np.zeros(3), np.zeros(4))
 
 
 class TestAttentionMatrix:
@@ -275,6 +305,58 @@ class TestLayerForward:
             attention_layer_forward(good, good, rng.standard_normal((4, 2)), params)
         with pytest.raises(ValueError):
             attention_layer_forward(good, good, good, params, ProbabilityWeights.uniform(5))
+
+
+def _layer_case(kind, sim):
+    """A layer, query tokens, key/value tokens and key weights (or None)."""
+    rng = np.random.default_rng(19)
+    params = small_layer(rng, d=8, n_heads=2, sim=sim)
+    x_q = rng.standard_normal((8, 5))
+    x_kv = rng.standard_normal((8, 7))
+    weights = None
+    if kind == "weighted":
+        weights = ProbabilityWeights(rng.dirichlet(np.ones(7)))
+    elif kind == "zero-weight-keys":
+        weights = ProbabilityWeights(np.array([0.0, 2.0, 1.0, 0.0, 1.0, 3.0, 0.0]))
+    elif kind == "huge-logits":
+        # scaled tokens push the projected logits past +-600
+        x_q, x_kv = 8.0 * x_q, 8.0 * x_kv
+        logits = [(h.w_k @ x_kv).T @ (h.w_q @ x_q) for h in params.heads]
+        assert max(np.abs(l).max() for l in logits) >= 600.0
+        assert min(l.min() for l in logits) <= -600.0
+    return params, x_q, x_kv, weights
+
+
+def assert_matches(got, ref, tol=1e-13):
+    """Equal within ``tol`` relative to the largest reference entry."""
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - ref).max() <= tol * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("kind", ["plain", "weighted", "zero-weight-keys", "huge-logits"])
+@pytest.mark.parametrize(
+    "sim", [SoftmaxSim(), SoftmaxSim(tau=1.7), LinearSim()], ids=["tau1", "tau1.7", "linear"]
+)
+class TestAgainstReference:
+    """The in-place kernels match one full-size array per step, and the layer,
+    which divides after aggregating, matches the per-head loop that divides
+    each attention matrix first."""
+
+    def test_layer_matches_reference(self, kind, sim):
+        params, x_q, x_kv, weights = _layer_case(kind, sim)
+        for x_k, w in ((x_kv, weights), (x_q, None)):  # cross and self attention
+            got = attention_layer_forward(x_q, x_k, x_k, params, w)
+            assert_matches(got, reference_layer_forward(x_q, x_k, x_k, params, w))
+
+    def test_matrices_match_reference(self, kind, sim):
+        params, x_q, x_kv, weights = _layer_case(kind, sim)
+        head = params.heads[0]
+        keys, queries = head.w_k @ x_kv, head.w_q @ x_q
+        assert_matches(attention_matrix(keys, queries, sim), reference_attention(keys, queries, sim))
+        if weights is not None:
+            got = reweighted_attention_matrix(keys, queries, sim, weights)
+            assert_matches(got, reference_attention(keys, queries, sim, weights))
+            assert_array_equal(got[weights.p == 0.0], 0.0)
 
 
 class TestParamValidation:

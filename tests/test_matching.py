@@ -55,6 +55,27 @@ def reference_sinkhorn(sbar, a, b, eps, max_iters, tol):
     return plan, iterations, residual <= tol
 
 
+def reference_dual_softmax(scores, p_a=None, p_b=None):
+    """The dual-softmax as one log-domain expression over full-size arrays,
+    with scipy's log-sum-exp; uniform without probabilities."""
+    if p_a is None:
+        log_ds = (
+            2.0 * scores
+            - logsumexp(scores, axis=1)[:, None]
+            - logsumexp(scores, axis=0)[None, :]
+        )
+        return np.exp(log_ds)
+    log_pa, log_pb = p_a.log(), p_b.log()
+    log_ds = (
+        log_pa[:, None]
+        + log_pb[None, :]
+        + 2.0 * scores
+        - logsumexp(scores + log_pb[None, :], axis=1)[:, None]
+        - logsumexp(scores + log_pa[:, None], axis=0)[None, :]
+    )
+    return np.exp(log_ds)
+
+
 def pipeline_transport_problem(d, n_heads, n_points):
     """Augmented scores and marginals of a ``forward_reweighted`` pair: the
     inputs the transport route of the pipeline really produces."""
@@ -175,10 +196,14 @@ class TestSinkhorn:
         with pytest.raises(ValueError):
             sinkhorn(good, u, np.array([0.5, 0.4]), eps=0.1)
 
-    def test_nan_marginal_raises_numerical_error(self):
-        u = np.array([0.5, np.nan])
-        with pytest.raises((ValueError, NumericalError)):
-            sinkhorn(np.zeros((2, 2)), u, u, eps=0.1)
+    def test_invalid_marginal_raises_value_error(self):
+        u = np.array([0.5, 0.5])
+        for bad in ([-0.5, 1.5], [0.5, np.nan], [np.inf, 0.5]):
+            bad = np.array(bad)
+            with pytest.raises(ValueError, match="marginal a"):
+                sinkhorn(np.zeros((2, 2)), bad, u, eps=0.1)
+            with pytest.raises(ValueError, match="marginal b"):
+                sinkhorn(np.zeros((2, 2)), u, bad, eps=0.1)
 
 
 def _pipeline_case(d, n_heads, n_points):
@@ -396,6 +421,34 @@ class TestDualSoftmax:
         assert_array_equal(rw[1, :], 0.0)
         assert_array_equal(rw[:, 0], 0.0)
         assert np.all(np.isfinite(rw))
+
+    @pytest.mark.parametrize("scale", [2.0, 700.0])
+    def test_matches_reference(self, scale):
+        rng = np.random.default_rng(19)
+        scores = rng.uniform(-scale, scale, size=(7, 9))
+        if scale == 700.0:
+            scores[0, :3] = [700.0, -700.0, 699.5]
+            scores[1:4, 4] = [-700.0, 700.0, 700.0]
+        p_a = ProbabilityWeights(rng.dirichlet(np.ones(7)))
+        p_b = ProbabilityWeights(rng.dirichlet(np.ones(9)))
+        assert_allclose(dual_softmax(scores), reference_dual_softmax(scores), rtol=0, atol=1e-13)
+        assert_allclose(
+            dual_softmax_reweighted(scores, p_a, p_b),
+            reference_dual_softmax(scores, p_a, p_b),
+            rtol=0,
+            atol=1e-13,
+        )
+
+    @pytest.mark.parametrize("scale", [2.0, 700.0])
+    def test_zero_probability_matches_reference(self, scale):
+        rng = np.random.default_rng(20)
+        scores = rng.uniform(-scale, scale, size=(6, 5))
+        p_a = ProbabilityWeights(np.array([0.0, 1.0, 3.0, 0.0, 2.0, 1.0]))
+        p_b = ProbabilityWeights(np.array([2.0, 0.0, 1.0, 1.0, 0.0]))
+        got = dual_softmax_reweighted(scores, p_a, p_b)
+        assert_allclose(got, reference_dual_softmax(scores, p_a, p_b), rtol=0, atol=1e-13)
+        assert_array_equal(got[[0, 3], :], 0.0)
+        assert_array_equal(got[:, [1, 4]], 0.0)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

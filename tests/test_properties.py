@@ -17,6 +17,7 @@ from rwmatch.attention import (
     LinearSim,
     ProbabilityWeights,
     SoftmaxSim,
+    attention_layer_forward,
     attention_matrix,
     reweighted_attention_matrix,
 )
@@ -28,6 +29,7 @@ from rwmatch.matching import (
     marginals,
     sinkhorn,
 )
+from rwmatch.transformer import random_layer_params
 
 dims = st.integers(min_value=1, max_value=12)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -156,6 +158,39 @@ def test_dual_softmax_duplication_identity(n_a, n_b, seed):
         ProbabilityWeights(mult_b.astype(np.float64)),
     )
     assert_allclose(grouped, rw, atol=1e-13)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_a=dims, n_b=dims, sim=sims, seed=seeds)
+def test_kernels_leave_inputs_unchanged(n_a, n_b, sim, seed):
+    """The kernels transform their own buffers in place, never the caller's:
+    every input is frozen read-only and compared bitwise afterwards."""
+    rng = np.random.default_rng(seed)
+    x_a = rng.standard_normal((8, n_a))
+    x_b = rng.standard_normal((8, n_b))
+    scores = rng.uniform(-4.0, 4.0, size=(n_a, n_b))
+    p_a = make_weights(rng, n_a)
+    p_b = make_weights(rng, n_b)
+    a, b = marginals(p_a, p_b)
+    sbar = augment(scores, 1.0)
+    layer = random_layer_params(rng, d=8, n_heads=2, sim=sim)
+    inputs = [x_a, x_b, scores, p_a.p, p_b.p, a, b, sbar]
+    inputs += [m for h in layer.heads for m in (h.w_q, h.w_k, h.w_vo)]
+    inputs += [layer.ffn.w_1, layer.ffn.b_1, layer.ffn.w_2, layer.ffn.b_2]
+    before = [m.copy() for m in inputs]
+    for m in inputs:
+        m.flags.writeable = False
+
+    attention_matrix(x_a, x_b, sim)
+    reweighted_attention_matrix(x_a, x_b, sim, p_a)
+    attention_layer_forward(x_b, x_a, x_a, layer)
+    attention_layer_forward(x_b, x_a, x_a, layer, p_a)
+    attention_layer_forward(x_a, x_a, x_a, layer, p_a)
+    dual_softmax(scores)
+    dual_softmax_reweighted(scores, p_a, p_b)
+    sinkhorn(sbar, a, b, eps=0.1, max_iters=20)
+    for m, m0 in zip(inputs, before):
+        assert np.array_equal(m, m0)
 
 
 config_strategy = st.builds(

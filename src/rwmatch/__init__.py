@@ -48,11 +48,8 @@ from .sampling import (
     EXPAND_THRESHOLD_ATTENTION,
     EXPAND_THRESHOLD_MATCHING,
     ConvergenceReport,
-    GroupedIndexMap,
     SizeStats,
-    deterministic_expand,
     empirical_weights,
-    group_indices,
     random_feature_set,
     run_attention_convergence,
     run_matching_convergence,
@@ -77,13 +74,11 @@ from .sparsity import (
     score_head_forward,
     select_survivors,
     sparsity_loss,
-    total_loss,
     train_score_head,
 )
 from .transformer import (
     DEFAULT_ROUTING,
     AffineEmbed,
-    FeaturePoint,
     FeatureSet,
     LayerRoute,
     SampledSet,

@@ -9,10 +9,16 @@ probability before normalizing, so keys with zero probability contribute
 nothing and their rows are exactly zero.  With uniform probabilities the
 weights cancel and the reweighted matrix equals the standard one.
 
-Every route builds its unnormalized n_K x n_Q matrix once and transforms it
-in place.  The matrix functions then divide each column by its sum; an
-attention layer never forms the normalized matrix, but aggregates values
-against the unnormalized one and divides the d x n_Q result instead.
+Both similarity kinds reduce to one matrix product of a key operand and a
+query operand: softmax logits keys/tau . queries, with log p folded in as
+one more row under the keys and a row of ones under the queries, or linear
+numerators (phi(keys) * p) . phi(queries).  The matrix functions build that
+product as one n_K x n_Q array, shift and exponentiate it in place and
+divide each column by its sum.  An attention layer never forms an n_K x n_Q
+array: it takes the queries in blocks that fit in cache, and aggregates each
+block of unnormalized attention against the values with a row of ones
+appended, so the same product yields the column sums, and it divides the
+(d + 1) x n_Q aggregate instead of the attention.
 """
 
 from __future__ import annotations
@@ -212,29 +218,87 @@ def _check_token_matrices(keys: np.ndarray, queries: np.ndarray) -> tuple[np.nda
     return keys, queries
 
 
-def _attention_numerator(
+# An attention layer takes its queries in blocks of _BLOCK_CELLS // n_K columns,
+# so that each n_K x block array of logits (2 MB of float64, a per-core L2
+# cache) stays in cache from its matrix product through the exponential to
+# the aggregation.  Softmax columns are independent, so blocking is exact.
+_BLOCK_CELLS = 1 << 18
+
+
+def _log_weight_operands(
+    sim: Similarity, weights: ProbabilityWeights | None, d_h: int, n_k: int, n_q: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """For weighted softmax, key and query operands of d_h + 1 rows whose last
+    rows, log p under the keys and ones under the queries, add log p to the
+    logits k_op.T @ q_op; _operands fills the first d_h rows.  None for any
+    other attention."""
+    if weights is None or not isinstance(sim, SoftmaxSim):
+        return None
+    k_op = np.empty((d_h + 1, n_k))
+    q_op = np.empty((d_h + 1, n_q))
+    # log 0 enters as the most negative float: added to a logit it gives that
+    # float again, which the column shift sends to an exact 0 under exp, and
+    # no infinity reaches BLAS
+    k_op[d_h] = np.finfo(np.float64).min
+    np.log(weights.p, out=k_op[d_h], where=weights.p > 0.0)
+    q_op[d_h] = 1.0
+    return k_op, q_op
+
+
+def _operands(
+    keys: np.ndarray,
+    queries: np.ndarray,
+    sim: Similarity,
+    weights: ProbabilityWeights | None,
+    log_ops: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Key and query operands whose product k.T @ q is the logits, log p
+    included (softmax), or the unnormalized attention, p included (linear).
+
+    Weighted softmax writes keys / tau and the queries into the first rows of
+    log_ops, the operands from _log_weight_operands.
+    """
+    if log_ops is not None:
+        k_op, q_op = log_ops
+        d_h = keys.shape[0]
+        np.divide(keys, sim.tau, out=k_op[:d_h])
+        q_op[:d_h] = queries
+        return log_ops
+    if isinstance(sim, SoftmaxSim):
+        return keys / sim.tau, queries
+    keys = sim.phi(keys)
+    if weights is not None:
+        keys = keys * weights.p
+    return keys, sim.phi(queries)
+
+
+def _numerator(
+    k_op: np.ndarray, q_op: np.ndarray, sim: Similarity, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Unnormalized attention of the queries in q_op, n_K x n_Q, in one array.
+
+    Column j is proportional to column j of the attention matrix.  Softmax
+    logits are shifted by their column max before the exponential, so no
+    entry overflows; the column max is finite because at least one weight is
+    positive.
+    """
+    num = np.matmul(k_op.T, q_op, out=out)
+    if isinstance(sim, SoftmaxSim):
+        num -= num.max(axis=0)
+        np.exp(num, out=num)
+    return num
+
+
+def _attention(
     keys: np.ndarray,
     queries: np.ndarray,
     sim: Similarity,
     weights: ProbabilityWeights | None,
 ) -> np.ndarray:
-    """Unnormalized (reweighted) attention, n_K x n_Q, built in one array.
-
-    Column j is proportional to column j of the attention matrix.  Softmax
-    logits carry log p and are shifted by their column max before the
-    exponential, so no entry overflows; -inf logits at zero-weight keys
-    exponentiate to exact zeros, and the column max stays finite because at
-    least one weight is positive.
-    """
-    if isinstance(sim, SoftmaxSim):
-        num = (keys / sim.tau).T @ queries
-        if weights is not None:
-            num += weights.log()[:, None]
-        num -= num.max(axis=0)
-        return np.exp(num, out=num)
-    num = sim.phi(keys).T @ sim.phi(queries)
-    if weights is not None:
-        num *= weights.p[:, None]
+    """The normalized attention matrix, computed as a single query block."""
+    log_ops = _log_weight_operands(sim, weights, *keys.shape, queries.shape[1])
+    num = _numerator(*_operands(keys, queries, sim, weights, log_ops), sim)
+    num /= num.sum(axis=0)
     return num
 
 
@@ -246,9 +310,7 @@ def attention_matrix(keys: np.ndarray, queries: np.ndarray, sim: Similarity) -> 
     avoid overflow of the exponentials.
     """
     keys, queries = _check_token_matrices(keys, queries)
-    num = _attention_numerator(keys, queries, sim, None)
-    num /= num.sum(axis=0)
-    return num
+    return _attention(keys, queries, sim, None)
 
 
 def reweighted_attention_matrix(
@@ -268,9 +330,7 @@ def reweighted_attention_matrix(
         raise ValueError(
             f"weights length {len(weights)} does not match key count {keys.shape[1]}"
         )
-    num = _attention_numerator(keys, queries, sim, weights)
-    num /= num.sum(axis=0)
-    return num
+    return _attention(keys, queries, sim, weights)
 
 
 def attention_layer_forward(
@@ -302,13 +362,39 @@ def attention_layer_forward(
     if weights is not None and len(weights) != x_k.shape[1]:
         raise ValueError("weights length must match the key count")
 
+    sim = params.sim
+    n_k, n_q = x_k.shape[1], x_q.shape[1]
+    # the last row of v_op @ num holds the column sums of num
+    v_op = np.empty((d + 1, n_k))
+    v_op[:d] = x_v
+    v_op[d] = 1.0
+    log_ops = _log_weight_operands(sim, weights, params.heads[0].d_h, n_k, n_q)
+    # when one block covers every query, the block buffers and the slicing
+    # would cost more than a small layer's attention itself
+    blocked = n_k * n_q > _BLOCK_CELLS
+    if blocked:
+        block = max(1, _BLOCK_CELLS // n_k)
+        agg = np.empty((d + 1, n_q))
+        num_buf = np.empty(n_k * block)
     x = x_q.copy()
     for head in params.heads:
-        num = _attention_numerator(head.w_k @ x_k, head.w_q @ x_q, params.sim, weights)
+        k_op, q_op = _operands(head.w_k @ x_k, head.w_q @ x_q, sim, weights, log_ops)
+        if not blocked:
+            agg = v_op @ _numerator(k_op, q_op, sim)
+        else:
+            for j in range(0, n_q, block):
+                q_blk = q_op[:, j : j + block]
+                num = num_buf[: n_k * q_blk.shape[1]].reshape(n_k, -1)
+                _numerator(k_op, q_blk, sim, out=num)
+                np.matmul(v_op, num, out=agg[:, j : j + block])
         # normalizing the d x n_Q aggregate equals aggregating the normalized
         # n_K x n_Q attention, at a fraction of the cost
-        x += head.w_vo @ ((x_v @ num) / num.sum(axis=0))
+        x += head.w_vo @ (agg[:d] / agg[d])
 
     ffn = params.ffn
-    hidden = ffn.act(ffn.w_1 @ x + ffn.b_1[:, None])
-    return x + ffn.w_2 @ hidden + ffn.b_2[:, None]
+    hidden = ffn.w_1 @ x
+    hidden += ffn.b_1[:, None]
+    out = ffn.w_2 @ ffn.act(hidden)
+    out += x
+    out += ffn.b_2[:, None]
+    return out

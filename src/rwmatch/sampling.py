@@ -46,12 +46,9 @@ from .transformer import (
 )
 
 __all__ = [
-    "GroupedIndexMap",
     "SizeStats",
     "ConvergenceReport",
     "sample_iid",
-    "group_indices",
-    "deterministic_expand",
     "random_feature_set",
     "trial_rng",
     "similarity_label",
@@ -64,22 +61,6 @@ __all__ = [
 
 EXPAND_THRESHOLD_ATTENTION = 1024
 EXPAND_THRESHOLD_MATCHING = 512
-
-
-@dataclass(frozen=True)
-class GroupedIndexMap:
-    """Partition of sample positions by the full-set point they refer to.
-
-    groups[i] lists the positions k with indices[k] == i, in draw order;
-    counts[i] is the group size.  The groups partition the whole sample.
-    """
-
-    counts: np.ndarray
-    groups: tuple[np.ndarray, ...]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -139,28 +120,6 @@ def sample_iid(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     indices = rng.choice(fset.n, size=n, p=fset.probs.p)
     return SampledSet(fset, indices)
-
-
-def group_indices(sample: SampledSet) -> GroupedIndexMap:
-    """Group sample positions by their full-set index."""
-    idx = sample.indices
-    counts = np.bincount(idx, minlength=sample.base.n)
-    groups = tuple(np.flatnonzero(idx == i) for i in range(sample.base.n))
-    return GroupedIndexMap(counts=counts, groups=groups)
-
-
-def deterministic_expand(fset: FeatureSet, multiplicities: np.ndarray) -> SampledSet:
-    """The sample that lists point i exactly multiplicities[i] times, in index order.
-
-    Realizes rational probability weights as literal duplicates, the exact
-    finite stand-in for i.i.d. sampling used by the duplication checks.
-    """
-    mult = np.asarray(multiplicities)
-    if mult.shape != (fset.n,) or not np.issubdtype(mult.dtype, np.integer):
-        raise ValueError("multiplicities must be one integer per point")
-    if np.any(mult < 0) or mult.sum() == 0:
-        raise ValueError("multiplicities must be nonnegative with a positive total")
-    return SampledSet(fset, np.repeat(np.arange(fset.n), mult))
 
 
 def random_feature_set(

@@ -47,7 +47,6 @@ __all__ = [
     "score_head_forward",
     "sparsity_loss",
     "matching_loss",
-    "total_loss",
     "pipeline_loss",
     "train_score_head",
     "select_survivors",
@@ -286,11 +285,6 @@ def matching_loss(assignment: AugmentedAssignment, gt: MatchGroundTruth) -> floa
     return float(-np.mean(np.log(cells)))
 
 
-def total_loss(lm: float, ls: float, lam: float) -> float:
-    """Matching loss plus lambda times sparsity loss."""
-    return lm + lam * ls
-
-
 def pipeline_loss(
     head: ScoreHeadParams,
     spec: TransformerSpec,
@@ -322,7 +316,7 @@ def pipeline_loss(
     )
     lm = matching_loss(assignment, gt)
     ls = sparsity_loss(s_a) + sparsity_loss(s_b)
-    return total_loss(lm, ls, lam), lm, ls
+    return lm + lam * ls, lm, ls
 
 
 def train_score_head(

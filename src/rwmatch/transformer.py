@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .attention import (
 )
 
 __all__ = [
-    "FeaturePoint",
     "FeatureSet",
     "SampledSet",
     "LayerRoute",
@@ -45,13 +44,6 @@ __all__ = [
     "random_transformer_spec",
     "DEFAULT_ROUTING",
 ]
-
-
-class FeaturePoint(NamedTuple):
-    """One candidate feature point: grid coordinate and descriptor."""
-
-    coord: np.ndarray
-    descriptor: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,9 +85,6 @@ class FeatureSet:
     def n(self) -> int:
         return self.coords.shape[1]
 
-    def point(self, i: int) -> FeaturePoint:
-        return FeaturePoint(self.coords[:, i].copy(), self.descriptors[:, i].copy())
-
     def with_probs(self, probs: ProbabilityWeights) -> "FeatureSet":
         """Same points with a different probability vector."""
         return replace(self, probs=probs)
@@ -125,12 +114,6 @@ class SampledSet:
     @property
     def n(self) -> int:
         return self.indices.size
-
-    @classmethod
-    def full(cls, base: FeatureSet) -> "SampledSet":
-        """The identity sample enumerating every positive-probability point once."""
-        keep = np.flatnonzero(base.probs.p > 0.0)
-        return cls(base, keep)
 
 
 class LayerRoute(Enum):

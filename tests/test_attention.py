@@ -1,10 +1,13 @@
 """Unit tests for similarity kinds, (reweighted) attention matrices and layers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import softmax
 
+from rwmatch import attention
 from rwmatch.attention import (
     AttentionHeadParams,
     AttentionLayerParams,
@@ -318,6 +321,21 @@ def _layer_case(kind, sim):
         weights = ProbabilityWeights(rng.dirichlet(np.ones(7)))
     elif kind == "zero-weight-keys":
         weights = ProbabilityWeights(np.array([0.0, 2.0, 1.0, 0.0, 1.0, 3.0, 0.0]))
+    elif kind == "dominant-zero-weight-key":
+        # the queries share an offset u, and key 3, at zero weight, projects
+        # in each head onto a multiple of the projected u: its logit tops
+        # every column, above +1000 at either temperature
+        u = rng.standard_normal(8)
+        x_q = x_q + 3.0 * u[:, None]
+        w_k = np.vstack([h.w_k for h in params.heads])
+        x_kv[:, 3] = np.linalg.solve(w_k, np.concatenate([h.w_q @ u for h in params.heads]))
+
+        def logits():
+            return [(h.w_k @ x_kv).T @ (h.w_q @ x_q) for h in params.heads]
+
+        x_kv[:, 3] *= 2000.0 / min(l[3].min() for l in logits())
+        assert all(np.all(l.argmax(axis=0) == 3) and l[3].min() > 1999.0 for l in logits())
+        weights = ProbabilityWeights(np.array([1.0, 2.0, 1.0, 0.0, 1.0, 3.0, 1.0]))
     elif kind == "huge-logits":
         # scaled tokens push the projected logits past +-600
         x_q, x_kv = 8.0 * x_q, 8.0 * x_kv
@@ -333,10 +351,14 @@ def assert_matches(got, ref, tol=1e-13):
     assert np.abs(got - ref).max() <= tol * max(1.0, np.abs(ref).max())
 
 
-@pytest.mark.parametrize("kind", ["plain", "weighted", "zero-weight-keys", "huge-logits"])
+SIMS = [SoftmaxSim(), SoftmaxSim(tau=1.7), LinearSim()]
+SIM_IDS = ["tau1", "tau1.7", "linear"]
+
+
 @pytest.mark.parametrize(
-    "sim", [SoftmaxSim(), SoftmaxSim(tau=1.7), LinearSim()], ids=["tau1", "tau1.7", "linear"]
+    "kind", ["plain", "weighted", "zero-weight-keys", "dominant-zero-weight-key", "huge-logits"]
 )
+@pytest.mark.parametrize("sim", SIMS, ids=SIM_IDS)
 class TestAgainstReference:
     """The in-place kernels match one full-size array per step, and the layer,
     which divides after aggregating, matches the per-head loop that divides
@@ -357,6 +379,52 @@ class TestAgainstReference:
             got = reweighted_attention_matrix(keys, queries, sim, weights)
             assert_matches(got, reference_attention(keys, queries, sim, weights))
             assert_array_equal(got[weights.p == 0.0], 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_weight_keys_drop_out_exactly(self, kind, sim):
+        """Zero-weight keys change no bit of the layer, even a key that holds
+        every column's largest logit: log 0 enters the logits as a finite
+        stand-in that exponentiates to an exact 0."""
+        params, x_q, x_kv, weights = _layer_case(kind, sim)
+        got = attention_layer_forward(x_q, x_kv, x_kv, params, weights)
+        assert np.all(np.isfinite(got))
+        if weights is not None:
+            alive = weights.p > 0.0
+            kept = ProbabilityWeights(weights.p[alive])
+            assert_array_equal(kept.p, weights.p[alive])
+            x_kv, weights = x_kv[:, alive], kept
+        assert_array_equal(got, attention_layer_forward(x_q, x_kv, x_kv, params, weights))
+
+
+@pytest.mark.parametrize("cells", [1, 7, 14])
+@pytest.mark.parametrize("kind", ["plain", "zero-weight-keys"])
+@pytest.mark.parametrize("sim", SIMS, ids=SIM_IDS)
+def test_query_blocks_match_reference(monkeypatch, cells, kind, sim):
+    """Layers whose queries span several blocks match the reference: one
+    query a block (cells = 1 and 7, over 5 or 7 keys), and blocks of two
+    queries with a ragged last one (cells = 14 over 5 queries)."""
+    monkeypatch.setattr(attention, "_BLOCK_CELLS", cells)
+    params, x_q, x_kv, weights = _layer_case(kind, sim)
+    for x_k, w in ((x_kv, weights), (x_q, None)):  # cross and self attention
+        got = attention_layer_forward(x_q, x_k, x_k, params, w)
+        assert_matches(got, reference_layer_forward(x_q, x_k, x_k, params, w))
+
+
+def test_layer_never_holds_an_attention_matrix():
+    """A d=8 reweighted layer at 2048 x 2048 peaks below 8 MB of traced
+    allocations, where one 2048 x 2048 float64 matrix alone is 32 MB."""
+    rng = np.random.default_rng(23)
+    params = small_layer(rng, d=8, n_heads=2)
+    x_q, x_kv = rng.standard_normal((8, 2048)), rng.standard_normal((8, 2048))
+    weights = ProbabilityWeights(rng.dirichlet(np.ones(2048)))
+    tracemalloc.start()
+    try:
+        out = attention_layer_forward(x_q, x_kv, x_kv, params, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(out))
+    assert peak < 8 * 2**20
 
 
 class TestParamValidation:

@@ -7,9 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from rwmatch.attention import LinearSim, ProbabilityWeights, SoftmaxSim
 from rwmatch.sampling import (
     ConvergenceReport,
-    deterministic_expand,
     empirical_weights,
-    group_indices,
     random_feature_set,
     run_attention_convergence,
     run_matching_convergence,
@@ -61,36 +59,6 @@ class TestSampleIid:
 
 
 class TestGrouping:
-    def test_group_indices_partitions_sample(self):
-        rng = np.random.default_rng(4)
-        fset = random_feature_set(rng, n_points=5)
-        sample = sample_iid(fset, 30, seed=9)
-        grouping = group_indices(sample)
-        assert grouping.total == 30
-        assert grouping.counts.sum() == 30
-        all_positions = np.sort(np.concatenate(grouping.groups))
-        assert_array_equal(all_positions, np.arange(30))
-        for i, grp in enumerate(grouping.groups):
-            assert_array_equal(sample.indices[grp], i)
-
-    def test_deterministic_expand(self):
-        rng = np.random.default_rng(5)
-        fset = random_feature_set(rng, n_points=4)
-        sample = deterministic_expand(fset, np.array([2, 0, 1, 3]))
-        assert_array_equal(sample.indices, [0, 0, 2, 3, 3, 3])
-
-    def test_deterministic_expand_validation(self):
-        rng = np.random.default_rng(6)
-        fset = random_feature_set(rng, n_points=3)
-        with pytest.raises(ValueError):
-            deterministic_expand(fset, np.array([1.0, 2.0, 0.0]))
-        with pytest.raises(ValueError):
-            deterministic_expand(fset, np.array([1, 2]))
-        with pytest.raises(ValueError):
-            deterministic_expand(fset, np.array([0, 0, 0]))
-        with pytest.raises(ValueError):
-            deterministic_expand(fset, np.array([-1, 2, 1]))
-
     def test_empirical_weights(self):
         w = empirical_weights(np.array([0, 2, 2, 3]), 5)
         assert_allclose(w.p, [0.25, 0.0, 0.5, 0.25, 0.0])

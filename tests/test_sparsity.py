@@ -22,7 +22,6 @@ from rwmatch.sparsity import (
     score_head_forward,
     select_survivors,
     sparsity_loss,
-    total_loss,
     train_score_head,
 )
 from rwmatch.transformer import random_transformer_spec
@@ -117,9 +116,6 @@ class TestScoreHead:
 class TestLosses:
     def test_sparsity_loss_is_sum(self):
         assert sparsity_loss(np.array([0.2, 0.3, 0.1])) == pytest.approx(0.6)
-
-    def test_total_loss_composition(self):
-        assert total_loss(2.0, 3.0, 0.5) == pytest.approx(3.5)
 
     def test_matching_loss_reads_ground_truth_cells(self):
         plan = np.array([[0.6, 0.1, 0.05], [0.1, 0.5, 0.1], [0.05, 0.1, 0.0]])

@@ -18,6 +18,11 @@ from rwmatch.transformer import (
 )
 
 
+def full_sample(fset):
+    """The identity sample: every point once, in index order."""
+    return SampledSet(fset, np.arange(fset.n))
+
+
 def make_set(rng, n=6, d_desc=5, grid=10.0, probs=None):
     coords = rng.uniform(0.0, grid, size=(2, n))
     descriptors = rng.standard_normal((d_desc, n))
@@ -31,9 +36,6 @@ class TestFeatureSet:
         rng = np.random.default_rng(0)
         fset = make_set(rng, n=4)
         assert fset.n == 4
-        pt = fset.point(2)
-        assert_array_equal(pt.coord, fset.coords[:, 2])
-        assert_array_equal(pt.descriptor, fset.descriptors[:, 2])
 
     def test_with_probs_replaces_only_probs(self):
         rng = np.random.default_rng(1)
@@ -98,13 +100,6 @@ class TestSampledSet:
         fset = make_set(rng, n=4, probs=probs)
         with pytest.raises(ValueError):
             SampledSet(fset, np.array([0]))
-
-    def test_full_keeps_positive_support(self):
-        rng = np.random.default_rng(6)
-        probs = ProbabilityWeights(np.array([1.0, 0.0, 2.0, 0.0, 1.0]))
-        fset = make_set(rng, n=5, probs=probs)
-        full = SampledSet.full(fset)
-        assert_array_equal(full.indices, [0, 2, 4])
 
 
 class TestEmbed:
@@ -174,7 +169,7 @@ class TestForward:
         rng = np.random.default_rng(13)
         set_a, set_b = make_set(rng, n=4, d_desc=6), make_set(rng, n=4, d_desc=6)
         spec = random_transformer_spec(rng, d=8, depth=2, routing=(LayerRoute.SELF_A,))
-        sa, sb = SampledSet.full(set_a), SampledSet.full(set_b)
+        sa, sb = full_sample(set_a), full_sample(set_b)
         out_a, out_b = forward(spec, sa, sb)
         assert_array_equal(out_b, embed(spec, sb))
         assert np.abs(out_a - embed(spec, sa)).max() > 1e-8
@@ -185,9 +180,9 @@ class TestForward:
         set_b1 = make_set(rng, n=4, d_desc=6)
         set_b2 = make_set(rng, n=4, d_desc=6)
         spec = random_transformer_spec(rng, d=8, depth=1, routing=(LayerRoute.CROSS_A_FROM_B,))
-        sa = SampledSet.full(set_a)
-        out_a1, _ = forward(spec, sa, SampledSet.full(set_b1))
-        out_a2, _ = forward(spec, sa, SampledSet.full(set_b2))
+        sa = full_sample(set_a)
+        out_a1, _ = forward(spec, sa, full_sample(set_b1))
+        out_a2, _ = forward(spec, sa, full_sample(set_b2))
         assert np.abs(out_a1 - out_a2).max() > 1e-8
 
 
@@ -199,7 +194,7 @@ class TestForwardReweighted:
         set_b = make_set(rng, n=6, d_desc=6, probs=ProbabilityWeights.uniform(6))
         spec = random_transformer_spec(rng, d=8, sim=sim)
         out_a, out_b = forward_reweighted(spec, set_a, set_b)
-        std_a, std_b = forward(spec, SampledSet.full(set_a), SampledSet.full(set_b))
+        std_a, std_b = forward(spec, full_sample(set_a), full_sample(set_b))
         assert_allclose(out_a, std_a, atol=1e-12)
         assert_allclose(out_b, std_b, atol=1e-12)
 

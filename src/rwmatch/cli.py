@@ -77,31 +77,6 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-EXPERIMENTS = (
-    "attention-converge",
-    "matching-converge",
-    "sinkhorn-check",
-    "reduce-check",
-    "sparsify",
-)
-
-# subcommand name -> experiment kind
-SUBCOMMANDS = {
-    "converge-attn": "attention-converge",
-    "converge-match": "matching-converge",
-    "sinkhorn-check": "sinkhorn-check",
-    "reduce-check": "reduce-check",
-    "sparsify": "sparsify",
-}
-
-DEFAULT_TRIALS = {
-    "attention-converge": 200,
-    "matching-converge": 200,
-    "sinkhorn-check": 500,
-    "reduce-check": 1000,
-    "sparsify": 5,
-}
-
 # fixed sentinels separating the derived random streams of one root seed
 _STREAM_ASSETS = 101
 _STREAM_CASES = 102
@@ -143,7 +118,8 @@ class ExperimentConfig:
     def resolved_trials(self) -> int:
         if self.trials is not None:
             return self.trials
-        return DEFAULT_TRIALS[self.experiment or "attention-converge"]
+        _, default_trials, _ = EXPERIMENTS[self.experiment or "attention-converge"]
+        return default_trials
 
     def sim(self):
         if self.similarity == "softmax":
@@ -158,16 +134,6 @@ class ExperimentConfig:
         return NMS(self.rule_radius, self.rule_k)
 
 
-# key -> (kind, parse/validate), where kind drives serialization
-_INT_KEYS = {"seed", "trials", "d", "heads", "depth", "n_points", "grid", "iters", "rule_k", "steps"}
-_FLOAT_KEYS = {"tau", "eps", "alpha", "tol", "lambda", "rule_t", "rule_radius"}
-_STR_KEYS = {"experiment", "similarity", "method", "rule"}
-_CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"sizes"}
-
-_KEY_TO_FIELD = {"lambda": "lam"}
-_FIELD_TO_KEY = {"lam": "lambda"}
-
-
 def _coerce_int(key: str, raw, errors: list[str]) -> int | None:
     try:
         if isinstance(raw, bool):
@@ -179,7 +145,7 @@ def _coerce_int(key: str, raw, errors: list[str]) -> int | None:
                 raise ValueError
             return int(raw)
         return int(str(raw).strip())
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         errors.append(f"{key}: expected an integer, got {raw!r}")
         return None
 
@@ -189,7 +155,7 @@ def _coerce_float(key: str, raw, errors: list[str]) -> float | None:
         if isinstance(raw, bool):
             raise ValueError
         val = float(raw if isinstance(raw, (int, float)) else str(raw).strip())
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         errors.append(f"{key}: expected a real number, got {raw!r}")
         return None
     if not np.isfinite(val):
@@ -198,24 +164,38 @@ def _coerce_float(key: str, raw, errors: list[str]) -> float | None:
     return val
 
 
-def _coerce_sizes(raw, errors: list[str]) -> tuple[int, ...] | None:
+def _coerce_sizes(key: str, raw, errors: list[str]) -> tuple[int, ...] | None:
     if isinstance(raw, str):
         parts = [p for p in raw.replace(",", " ").split() if p]
     elif isinstance(raw, (list, tuple)):
         parts = list(raw)
     else:
-        errors.append(f"sizes: expected a comma-separated list, got {raw!r}")
+        errors.append(f"{key}: expected a comma-separated list, got {raw!r}")
         return None
     out = []
     for p in parts:
-        v = _coerce_int("sizes", p, errors)
+        v = _coerce_int(key, p, errors)
         if v is None:
             return None
         out.append(v)
     return tuple(out)
 
 
-def _validate(cfg: ExperimentConfig, errors: list[str]) -> None:
+# field annotation (a string under postponed evaluation) -> value parser
+_COERCE = {
+    "int": _coerce_int,
+    "float": _coerce_float,
+    "str": lambda key, raw, errors: str(raw).strip(),
+    "tuple[int, ...]": _coerce_sizes,
+}
+
+# config key -> field; ``lambda`` is a Python keyword, so its field is ``lam``
+_KEYS = {("lambda" if f.name == "lam" else f.name): f for f in fields(ExperimentConfig)}
+
+
+def _validate(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
+    """Return cfg, or raise ConfigError listing ``errors`` and every range violation."""
+
     def check(cond: bool, msg: str) -> None:
         if not cond:
             errors.append(msg)
@@ -268,18 +248,29 @@ def _validate(cfg: ExperimentConfig, errors: list[str]) -> None:
     check(1 <= cfg.rule_k <= 10**4, f"rule_k: must be in [1, 10^4], got {cfg.rule_k}")
     check(cfg.rule_radius > 0, f"rule_radius: must be positive, got {cfg.rule_radius}")
     check(1 <= cfg.steps <= 10**5, f"steps: must be in [1, 10^5], got {cfg.steps}")
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return cfg
 
 
 def _entries_from_text(text: str, errors: list[str]) -> dict:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
+
+        def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+            obj: dict = {}
+            for key, value in pairs:
+                if key in obj:
+                    errors.append(f"duplicate key {key!r}")
+                obj.setdefault(key, value)
+            return obj
+
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+            # valid JSON text starting with '{' is always an object
+            return json.loads(text, object_pairs_hook=unique_keys)
+        # ValueError also covers an integer past Python's digit limit
+        except (ValueError, RecursionError) as exc:
             errors.append(f"malformed JSON: {exc}")
             return {}
-        # valid JSON text starting with '{' is always an object
-        return {str(k): v for k, v in obj.items()}
     entries: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -304,62 +295,32 @@ def parse_config(text: str) -> ExperimentConfig:
     out-of-range field at once.  Missing keys take the documented defaults.
     """
     errors: list[str] = []
-    entries = _entries_from_text(text, errors)
     values: dict = {}
-    for key, raw in entries.items():
-        if key not in _CONFIG_KEYS:
+    for key, raw in _entries_from_text(text, errors).items():
+        f = _KEYS.get(key)
+        if f is None:
             errors.append(f"unknown key {key!r}")
             continue
-        field_name = _KEY_TO_FIELD.get(key, key)
-        if key == "sizes":
-            val = _coerce_sizes(raw, errors)
-        elif key in _INT_KEYS:
-            val = _coerce_int(key, raw, errors)
-        elif key in _FLOAT_KEYS:
-            val = _coerce_float(key, raw, errors)
-        else:
-            val = str(raw).strip()
+        val = _COERCE[f.type.removesuffix(" | None")](key, raw, errors)
         if val is not None:
-            values[field_name] = val
+            values[f.name] = val
     # validate whatever coerced cleanly so one parse reports every problem
-    cfg = ExperimentConfig(**values)
-    _validate(cfg, errors)
-    if errors:
-        raise ConfigError("; ".join(errors))
-    return cfg
+    return _validate(ExperimentConfig(**values), errors)
+
+
+def _config_items(cfg: ExperimentConfig) -> list[tuple[str, object]]:
+    """(key, value) of every set field, sorted by key; both report formats use it."""
+    values = ((key, getattr(cfg, f.name)) for key, f in _KEYS.items())
+    return sorted((key, value) for key, value in values if value is not None)
+
+
+def _config_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical key=value text; parsing it reproduces the config exactly."""
-    return "".join(f"{k}={v}\n" for k, v in _config_items(cfg))
-
-
-def _config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
-    items = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        key = _FIELD_TO_KEY.get(f.name, f.name)
-        if f.name == "sizes":
-            text = ",".join(str(m) for m in value)
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        items.append((key, text))
-    return sorted(items)
-
-
-def _config_json(cfg: ExperimentConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        key = _FIELD_TO_KEY.get(f.name, f.name)
-        out[key] = list(value) if f.name == "sizes" else value
-    return out
+    return "".join(f"{k}={_config_text(v)}\n" for k, v in _config_items(cfg))
 
 
 def _fmt(value) -> str:
@@ -368,47 +329,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_COLUMNS = {
-    "attention-converge": (
-        "experiment", "similarity", "method", "sample_size", "trial_count",
-        "q25", "q50", "q75", "max", "seed",
-    ),
-    "matching-converge": (
-        "experiment", "similarity", "method", "sample_size", "trial_count",
-        "q25", "q50", "q75", "max", "seed",
-    ),
-    "sinkhorn-check": (
-        "experiment", "case", "n_a", "n_b", "eps", "iterations", "residual",
-        "mass_error", "seed",
-    ),
-    "reduce-check": (
-        "experiment", "kind", "instances", "max_deviation", "threshold", "seed",
-    ),
-    "sparsify": (
-        "experiment", "lambda", "rule", "steps", "trial", "l1_initial",
-        "l1_final", "loss_initial", "loss_final", "survivors_a", "survivors_b",
-        "seed",
-    ),
-}
-
-
 def _render_csv(cfg: ExperimentConfig, rows: list[dict]) -> str:
-    columns = _COLUMNS[cfg.experiment]
-    config_line = " ".join(f"{k}={v}" for k, v in _config_items(cfg))
+    # every runner builds its row dicts in report-column order
+    config_line = " ".join(f"{k}={_config_text(v)}" for k, v in _config_items(cfg))
     lines = [
         f"# format-version: {FORMAT_VERSION}",
         f"# config: {config_line}",
-        ",".join(columns),
+        ",".join(rows[0]),
     ]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+    lines.extend(",".join(_fmt(v) for v in row.values()) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _render_json(cfg: ExperimentConfig, rows: list[dict]) -> str:
     doc = {
         "format_version": FORMAT_VERSION,
-        "config": _config_json(cfg),
+        "config": dict(_config_items(cfg)),
         "rows": rows,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -454,8 +390,15 @@ def _run_matching_converge(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
     return rows, _converge_passed(rows)
 
 
-def _run_sinkhorn_check(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
-    """Random augmented problems with a bounded log-kernel range.
+def _case_streams(cfg: ExperimentConfig):
+    """One independent generator per case: the CLI's stream of check cases."""
+    for case in range(cfg.resolved_trials()):
+        yield np.random.default_rng(np.random.SeedSequence([cfg.seed, _STREAM_CASES, case]))
+
+
+def _sinkhorn_check(cfg: ExperimentConfig, rngs) -> tuple[list[dict], bool]:
+    """Random augmented problems with a bounded log-kernel range, one per
+    generator in ``rngs``.
 
     Entropic scaling converges at a rate governed by the spread of sbar/eps,
     so the suite draws that spread uniformly from [-4, 4] and sweeps eps
@@ -464,9 +407,7 @@ def _run_sinkhorn_check(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
     instances with solver defects.
     """
     rows = []
-    passed = True
-    for case in range(cfg.resolved_trials()):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _STREAM_CASES, case]))
+    for case, rng in enumerate(rngs):
         n_a = int(rng.integers(2, 65))
         n_b = int(rng.integers(2, 65))
         eps = float(rng.uniform(0.05, 1.0))
@@ -474,7 +415,6 @@ def _run_sinkhorn_check(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
         a = np.concatenate([rng.dirichlet(np.ones(n_a)), [1.0]])
         b = np.concatenate([rng.dirichlet(np.ones(n_b)), [1.0]])
         result = sinkhorn(eps * logits, a, b, eps, max_iters=cfg.iters, tol=cfg.tol)
-        mass_error = abs(float(result.plan.sum()) - 2.0)
         rows.append(
             {
                 "experiment": cfg.experiment,
@@ -484,31 +424,30 @@ def _run_sinkhorn_check(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
                 "eps": eps,
                 "iterations": result.iterations,
                 "residual": result.residual,
-                "mass_error": mass_error,
+                "mass_error": abs(float(result.plan.sum()) - 2.0),
                 "seed": cfg.seed,
             }
         )
-        if result.residual > cfg.tol or mass_error > 2.0 * cfg.tol:
-            passed = False
+    passed = all(
+        row["residual"] <= cfg.tol and row["mass_error"] <= 2.0 * cfg.tol for row in rows
+    )
     return rows, passed
 
 
-def _run_reduce_check(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
-    """Uniform weights must reproduce the unweighted operations.
+def _reduce_check(cfg: ExperimentConfig, rngs) -> tuple[list[dict], bool]:
+    """Uniform weights must reproduce the unweighted operations, one instance
+    per generator in ``rngs``.
 
     Attention and dual-softmax deviations are entrywise; transport is checked
     for bitwise plan equality (ot_uniform and ot_reweighted with uniform
     probabilities build identical marginals) on every tenth instance, since
     one deviation bound covers both flavors of each instance family.
     """
-    instances = cfg.resolved_trials()
-    dev_attn_softmax = 0.0
-    dev_attn_linear = 0.0
-    dev_ds = 0.0
-    ot_instances = 0
-    ot_mismatches = 0
-    for case in range(instances):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _STREAM_CASES, case]))
+    sims = {"attention-softmax": SoftmaxSim(cfg.tau), "attention-linear": LinearSim()}
+    dev = dict.fromkeys([*sims, "dual-softmax"], 0.0)
+    ot_kw = dict(alpha=cfg.alpha, eps=cfg.eps, max_iters=cfg.iters, tol=cfg.tol)
+    instances = ot_instances = ot_mismatches = 0
+    for rng in rngs:
         d = int(rng.integers(2, 17))
         n_k = int(rng.integers(2, 33))
         n_q = int(rng.integers(2, 33))
@@ -516,54 +455,32 @@ def _run_reduce_check(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
         queries = rng.standard_normal((d, n_q))
         w_k = ProbabilityWeights.uniform(n_k)
         w_q = ProbabilityWeights.uniform(n_q)
-        for sim, label in ((SoftmaxSim(cfg.tau), "softmax"), (LinearSim(), "linear")):
-            dev = float(
-                np.abs(
-                    attention_matrix(keys, queries, sim)
-                    - reweighted_attention_matrix(keys, queries, sim, w_k)
-                ).max()
-            )
-            if label == "softmax":
-                dev_attn_softmax = max(dev_attn_softmax, dev)
-            else:
-                dev_attn_linear = max(dev_attn_linear, dev)
+        for kind, sim in sims.items():
+            plain = attention_matrix(keys, queries, sim)
+            rw = reweighted_attention_matrix(keys, queries, sim, w_k)
+            dev[kind] = max(dev[kind], float(np.abs(plain - rw).max()))
         scores = rng.standard_normal((n_k, n_q))
-        dev_ds = max(
-            dev_ds,
-            float(
-                np.abs(
-                    dual_softmax(scores) - dual_softmax_reweighted(scores, w_k, w_q)
-                ).max()
-            ),
-        )
-        if case % 10 == 0:
+        ds_dev = np.abs(dual_softmax(scores) - dual_softmax_reweighted(scores, w_k, w_q))
+        dev["dual-softmax"] = max(dev["dual-softmax"], float(ds_dev.max()))
+        if instances % 10 == 0:
             ot_instances += 1
             tok_a = 0.5 * keys / np.sqrt(d)
             tok_b = 0.5 * queries / np.sqrt(d)
-            plan_u = ot_uniform(
-                tok_a, tok_b, alpha=cfg.alpha, eps=cfg.eps,
-                max_iters=cfg.iters, tol=cfg.tol,
-            ).plan
-            plan_r = ot_reweighted(
-                tok_a, tok_b, w_k, w_q, alpha=cfg.alpha, eps=cfg.eps,
-                max_iters=cfg.iters, tol=cfg.tol,
-            ).plan
-            if not np.array_equal(plan_u, plan_r):
-                ot_mismatches += 1
-    tol = 1e-12
+            plan_u = ot_uniform(tok_a, tok_b, **ot_kw).plan
+            plan_r = ot_reweighted(tok_a, tok_b, w_k, w_q, **ot_kw).plan
+            ot_mismatches += not np.array_equal(plan_u, plan_r)
+        instances += 1
     rows = [
         {
             "experiment": cfg.experiment,
             "kind": kind,
             "instances": count,
-            "max_deviation": dev,
+            "max_deviation": value,
             "threshold": thr,
             "seed": cfg.seed,
         }
-        for kind, count, dev, thr in (
-            ("attention-softmax", instances, dev_attn_softmax, tol),
-            ("attention-linear", instances, dev_attn_linear, tol),
-            ("dual-softmax", instances, dev_ds, tol),
+        for kind, count, value, thr in (
+            *((kind, instances, value, 1e-12) for kind, value in dev.items()),
             ("ot-plan-bitwise", ot_instances, float(ot_mismatches), 0.0),
         )
     ]
@@ -619,29 +536,38 @@ def _run_sparsify(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
     return rows, True
 
 
-_RUNNERS = {
-    "attention-converge": _run_attention_converge,
-    "matching-converge": _run_matching_converge,
-    "sinkhorn-check": _run_sinkhorn_check,
-    "reduce-check": _run_reduce_check,
-    "sparsify": _run_sparsify,
+# experiment kind -> (subcommand, default trials, runner); the checks run on
+# the CLI's case streams, while the acceptance suite feeds them its own
+EXPERIMENTS = {
+    "attention-converge": ("converge-attn", 200, _run_attention_converge),
+    "matching-converge": ("converge-match", 200, _run_matching_converge),
+    "sinkhorn-check": ("sinkhorn-check", 500, lambda c: _sinkhorn_check(c, _case_streams(c))),
+    "reduce-check": ("reduce-check", 1000, lambda c: _reduce_check(c, _case_streams(c))),
+    "sparsify": ("sparsify", 5, _run_sparsify),
 }
 
 
 def run(cfg: ExperimentConfig, out_dir: str = ".", fmt: str = "csv") -> int:
-    """Run one experiment and write its report; returns the process exit code.
+    """Validate and run one experiment and write its report; returns the
+    process exit code.
 
     The report lands at ``<out_dir>/<experiment>.<fmt>``.  Identical config
     and seed produce byte-identical report files.
     """
-    if cfg.experiment not in _RUNNERS:
+    try:
+        _validate(cfg, [])
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 3
+    if cfg.experiment not in EXPERIMENTS:
         print(f"error: no experiment selected (got {cfg.experiment!r})", file=sys.stderr)
         return 3
     if fmt not in ("csv", "json"):
         print(f"error: format must be csv or json, got {fmt!r}", file=sys.stderr)
         return 3
+    _, _, runner = EXPERIMENTS[cfg.experiment]
     try:
-        rows, passed = _RUNNERS[cfg.experiment](cfg)
+        rows, passed = runner(cfg)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
@@ -675,8 +601,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="seeded experiments for reweighted attention and matching",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    for name, kind in SUBCOMMANDS.items():
+    for kind, (name, _, _) in EXPERIMENTS.items():
         p = sub.add_parser(name, help=f"run the {kind} experiment")
+        p.set_defaults(kind=kind)
         p.add_argument("--config", metavar="PATH", help="config file (key=value lines or JSON)")
         p.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
         p.add_argument("--out", default=".", metavar="DIR", help="report directory")
@@ -686,13 +613,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    kind = SUBCOMMANDS[args.subcommand]
     text = ""
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 3
     try:
@@ -700,20 +626,16 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    if cfg.experiment is not None and cfg.experiment != kind:
+    if cfg.experiment not in (None, args.kind):
         print(
             f"config error: experiment {cfg.experiment!r} does not match "
             f"subcommand {args.subcommand!r}",
             file=sys.stderr,
         )
         return 3
-    cfg = replace(cfg, experiment=kind)
-    if args.seed is not None:
-        if not (0 <= args.seed < 2**64):
-            print(f"config error: seed: must be in [0, 2^64), got {args.seed}", file=sys.stderr)
-            return 3
-        cfg = replace(cfg, seed=args.seed)
-    return run(cfg, out_dir=args.out, fmt=args.format)
+    seed = cfg.seed if args.seed is None else args.seed
+    # run() validates again, so a --seed out of range fails like a config seed
+    return run(replace(cfg, experiment=args.kind, seed=seed), out_dir=args.out, fmt=args.format)
 
 
 if __name__ == "__main__":

@@ -56,6 +56,14 @@ __all__ = [
 
 LOSS_FLOOR = 1e-30
 
+# SPSA gain sequences of train_score_head; 0.602 and 0.101 are Spall's
+# standard exponents (IEEE Trans. Aerosp. Electron. Syst., 1998)
+_SPSA_A = 0.1
+_SPSA_C = 0.05
+_SPSA_STABILITY = 10.0
+_SPSA_ALPHA = 0.602
+_SPSA_GAMMA = 0.101
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # evaluate exp on the non-positive branch only so neither side overflows
@@ -328,11 +336,6 @@ def train_score_head(
     cfg: SparsityConfig,
     steps: int,
     seed: int,
-    a: float = 0.1,
-    c: float = 0.05,
-    stability: float = 10.0,
-    alpha_exp: float = 0.602,
-    gamma_exp: float = 0.101,
     ot_alpha: float = DEFAULT_ALPHA,
     ot_eps: float = DEFAULT_EPS,
     ot_max_iters: int = DEFAULT_MAX_ITERS,
@@ -342,9 +345,9 @@ def train_score_head(
 
     Step k perturbs the flattened head by +/- c_k along a random sign vector,
     evaluates the pipeline loss at both points, and descends along the
-    finite-difference estimate with gain a_k, where a_k = a / (k + 1 +
-    stability)^0.602 and c_k = c / (k + 1)^0.101.  Returns the trained head
-    and the (steps, 2) trace of the two probe losses per step.  Identical
+    finite-difference estimate with gain a_k, where a_k = 0.1 / (k + 11)^0.602
+    and c_k = 0.05 / (k + 1)^0.101.  Returns the trained head and the
+    (steps, 2) trace of the two probe losses per step.  Identical
     seeds give identical traces.  A non-finite probe loss aborts with the
     trace collected so far attached to the error.
     """
@@ -364,7 +367,7 @@ def train_score_head(
 
     trace = np.empty((steps, 2))
     for k in range(steps):
-        c_k = c / (k + 1.0) ** gamma_exp
+        c_k = _SPSA_C / (k + 1.0) ** _SPSA_GAMMA
         delta = rng.choice(np.array([-1.0, 1.0]), size=theta.size)
         loss_plus = evaluate(theta + c_k * delta)
         loss_minus = evaluate(theta - c_k * delta)
@@ -374,7 +377,7 @@ def train_score_head(
             err = NumericalError(f"non-finite loss at SPSA step {k}")
             err.trace = trace[: k + 1].copy()
             raise err
-        gain = a / (k + 1.0 + stability) ** alpha_exp
+        gain = _SPSA_A / (k + 1.0 + _SPSA_STABILITY) ** _SPSA_ALPHA
         theta = theta - gain * (loss_plus - loss_minus) / (2.0 * c_k) * delta
     return ScoreHeadParams.from_flat(theta, d_desc, hidden), trace
 

@@ -8,25 +8,24 @@ per criterion.  Every random quantity is derived from ROOT_SEED, so the suite
 is deterministic end to end.
 """
 
+import itertools
 import time
 
 import numpy as np
-import pytest
 
-from rwmatch.attention import (
-    LinearSim,
-    ProbabilityWeights,
-    SoftmaxSim,
-    attention_matrix,
-    reweighted_attention_matrix,
+from rwmatch.attention import LinearSim, ProbabilityWeights, SoftmaxSim
+from rwmatch.cli import (
+    ExperimentConfig,
+    _converge_passed,
+    _reduce_check,
+    _sinkhorn_check,
+    main,
 )
-from rwmatch.cli import main
 from rwmatch.matching import (
     dual_softmax,
     dual_softmax_reweighted,
     ot_reweighted,
     ot_uniform,
-    sinkhorn,
 )
 from rwmatch.sampling import (
     random_feature_set,
@@ -76,43 +75,19 @@ def test_criterion_1_uniform_weight_reduction():
     """Uniform weights reproduce standard attention and dual-softmax to 1e-12
     over 1000 instances, and uniform transport bitwise, in under 10 s."""
     start = time.perf_counter()
-    rng = stream(1)
-    dev_attention = 0.0
-    dev_ds = 0.0
-    ot_bitwise = True
-    for case in range(1000):
-        d = int(rng.integers(2, 17))
-        n_k = int(rng.integers(2, 33))
-        n_q = int(rng.integers(2, 33))
-        keys = rng.standard_normal((d, n_k))
-        queries = rng.standard_normal((d, n_q))
-        w_k = ProbabilityWeights.uniform(n_k)
-        w_q = ProbabilityWeights.uniform(n_q)
-        for sim in (SoftmaxSim(), LinearSim()):
-            dev = np.abs(
-                attention_matrix(keys, queries, sim)
-                - reweighted_attention_matrix(keys, queries, sim, w_k)
-            ).max()
-            dev_attention = max(dev_attention, float(dev))
-        scores = rng.standard_normal((n_k, n_q))
-        dev_ds = max(
-            dev_ds,
-            float(
-                np.abs(dual_softmax(scores) - dual_softmax_reweighted(scores, w_k, w_q)).max()
-            ),
-        )
-        if case % 10 == 0:
-            tok_a = 0.5 * keys / np.sqrt(d)
-            tok_b = 0.5 * queries / np.sqrt(d)
-            plan_u = ot_uniform(tok_a, tok_b).plan
-            plan_r = ot_reweighted(tok_a, tok_b, w_k, w_q).plan
-            ot_bitwise = ot_bitwise and np.array_equal(plan_u, plan_r)
+    # one stream drawn through all 1000 instances; the CLI draws one per case
+    rows, passed = _reduce_check(ExperimentConfig(), itertools.repeat(stream(1), 1000))
     elapsed = time.perf_counter() - start
-    ok = dev_attention <= 1e-12 and dev_ds <= 1e-12 and ot_bitwise and elapsed < 10.0
+    dev = {row["kind"]: row["max_deviation"] for row in rows}
+    dev_attention = max(dev["attention-softmax"], dev["attention-linear"])
+    ot_bitwise = dev["ot-plan-bitwise"] == 0.0
+    assert [row["instances"] for row in rows] == [1000, 1000, 1000, 100]
+    ok = passed and dev_attention <= 1e-12 and dev["dual-softmax"] <= 1e-12
+    ok = ok and ot_bitwise and elapsed < 10.0
     report(
         1,
         ok,
-        f"attention dev {dev_attention:.2e}, dual-softmax dev {dev_ds:.2e}, "
+        f"attention dev {dev_attention:.2e}, dual-softmax dev {dev['dual-softmax']:.2e}, "
         f"ot bitwise {ot_bitwise}, {elapsed:.1f}s",
     )
 
@@ -213,11 +188,6 @@ def converge_assets(key, sim):
     return set_a, set_b, spec
 
 
-def monotone_and_halved(medians):
-    non_increasing = all(b <= a for a, b in zip(medians, medians[1:]))
-    return non_increasing and medians[-1] <= medians[0] / 2.0
-
-
 def test_criterion_4_stochastic_convergence_network():
     """Median per-token sampling error is non-increasing in the sample size
     and at least halves from m=64 to m=4096, for both similarity kinds."""
@@ -230,7 +200,7 @@ def test_criterion_4_stochastic_convergence_network():
             spec, set_a, set_b, SIZES, TRIALS, seed=ROOT_SEED
         )
         medians = report_data.medians()
-        ok = ok and monotone_and_halved(medians)
+        ok = ok and _converge_passed(report_data.rows())
         details.append(
             f"{label} medians " + "/".join(f"{m:.2e}" for m in medians)
         )
@@ -251,7 +221,7 @@ def test_criterion_5_stochastic_convergence_matching():
             spec, set_a, set_b, SIZES, TRIALS, seed=ROOT_SEED, method=method
         )
         medians = report_data.medians()
-        ok = ok and monotone_and_halved(medians)
+        ok = ok and _converge_passed(report_data.rows())
         details.append(f"{method} medians " + "/".join(f"{m:.2e}" for m in medians))
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 600.0
@@ -264,25 +234,13 @@ def test_criterion_6_sinkhorn_feasibility():
     2 +/- 2e-9.  The score spread is drawn proportional to eps, so the sweep
     varies the arithmetic regime rather than the conditioning."""
     start = time.perf_counter()
-    worst_resid = 0.0
-    worst_iters = 0
-    worst_mass = 0.0
-    all_converged = True
-    for case in range(500):
-        rng = stream(6, case)
-        n_a = int(rng.integers(2, 65))
-        n_b = int(rng.integers(2, 65))
-        eps = float(rng.uniform(0.05, 1.0))
-        logits = rng.uniform(-4.0, 4.0, size=(n_a + 1, n_b + 1))
-        a = np.concatenate([rng.dirichlet(np.ones(n_a)), [1.0]])
-        b = np.concatenate([rng.dirichlet(np.ones(n_b)), [1.0]])
-        result = sinkhorn(eps * logits, a, b, eps, max_iters=200, tol=1e-9)
-        all_converged = all_converged and result.converged
-        worst_resid = max(worst_resid, result.residual)
-        worst_iters = max(worst_iters, result.iterations)
-        worst_mass = max(worst_mass, abs(float(result.plan.sum()) - 2.0))
+    cfg = ExperimentConfig(iters=200, tol=1e-9)
+    rows, passed = _sinkhorn_check(cfg, (stream(6, case) for case in range(500)))
     elapsed = time.perf_counter() - start
-    ok = all_converged and worst_resid <= 1e-9 and worst_mass <= 2e-9
+    worst_resid = max(row["residual"] for row in rows)
+    worst_iters = max(row["iterations"] for row in rows)
+    worst_mass = max(row["mass_error"] for row in rows)
+    ok = passed and len(rows) == 500 and worst_resid <= 1e-9 and worst_mass <= 2e-9
     report(
         6,
         ok,

@@ -60,8 +60,16 @@ class TestParseConfig:
             parse_config("just some words\n")
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("seed = 1\nseed = 2\n")
+        with pytest.raises(ConfigError, match="duplicate key 'seed'"):
+            parse_config('{"seed": 1, "seed": 2}')
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{not json")
+        # an integer past Python's digit limit and nesting past the recursion
+        # limit are malformed JSON here
+        with pytest.raises(ConfigError, match="JSON"):
+            parse_config('{"seed": ' + "1" * 5000 + "}")
+        with pytest.raises(ConfigError, match="JSON"):
+            parse_config('{"seed": ' + "[" * 100000 + "]" * 100000 + "}")
         # non-object JSON text falls through to the key=value reader
         with pytest.raises(ConfigError, match="key=value"):
             parse_config("[1, 2]")
@@ -82,6 +90,9 @@ class TestParseConfig:
             "rule = magic\n",
             "rule_t = 1.5\n",
             "experiment = frobnicate\n",
+            '{"seed": Infinity}',
+            '{"sizes": [8, 1e400]}',
+            pytest.param('{"tau": 1' + "0" * 400 + "}", id="tau-401-digits"),
         ],
     )
     def test_out_of_range_values_rejected(self, text):
@@ -175,6 +186,11 @@ class TestRun:
         assert run(ExperimentConfig(), out_dir=str(tmp_path), fmt="csv") == 3
         cfg = ExperimentConfig(experiment="sinkhorn-check", trials=2)
         assert run(cfg, out_dir=str(tmp_path), fmt="yaml") == 3
+        # run validates a config built without parse_config
+        cfg = ExperimentConfig(experiment="sinkhorn-check", trials=0)
+        assert run(cfg, out_dir=str(tmp_path), fmt="csv") == 3
+        assert "trials: must be in [1, 10^6], got 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_unwritable_out_dir(self, capsys):
         cfg = ExperimentConfig(experiment="sinkhorn-check", trials=2)
@@ -215,6 +231,12 @@ class TestMain:
         assert main(["sinkhorn-check", "--config", str(missing)]) == 3
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "cfg"
+        config.write_bytes(b"\xff\xfeseed = 1\n")
+        assert main(["sinkhorn-check", "--config", str(config)]) == 3
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_experiment_subcommand_mismatch(self, tmp_path, capsys):
         config = tmp_path / "cfg"
         config.write_text("experiment = sparsify\n")
@@ -245,6 +267,7 @@ class TestMain:
 
     def test_invalid_seed_flag(self, capsys):
         assert main(["sinkhorn-check", "--seed", "-3"]) == 3
+        assert "seed: must be in [0, 2^64), got -3" in capsys.readouterr().err
 
     def test_usage_errors_exit_three(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -293,3 +316,48 @@ class TestMain:
         assert "l1_final" in header and "survivors_a" in header
         assert len(lines) == 4
         assert lines[3].split(",")[header.index("seed")] == "6"
+
+
+SMALL_CONFIGS = {
+    "converge-attn": SMALL_CONVERGE,
+    "converge-match": SMALL_CONVERGE,
+    "sinkhorn-check": "trials = 2\n",
+    "reduce-check": "trials = 2\n",
+    "sparsify": "trials = 1\nsteps = 1\nn_points = 6\nd = 4\n",
+}
+
+CSV_HEADERS = {
+    "converge-attn": [
+        "experiment", "similarity", "method", "sample_size", "trial_count",
+        "q25", "q50", "q75", "max", "seed",
+    ],
+    "converge-match": [
+        "experiment", "similarity", "method", "sample_size", "trial_count",
+        "q25", "q50", "q75", "max", "seed",
+    ],
+    "sinkhorn-check": [
+        "experiment", "case", "n_a", "n_b", "eps", "iterations", "residual",
+        "mass_error", "seed",
+    ],
+    "reduce-check": [
+        "experiment", "kind", "instances", "max_deviation", "threshold", "seed",
+    ],
+    "sparsify": [
+        "experiment", "lambda", "rule", "steps", "trial", "l1_initial",
+        "l1_final", "loss_initial", "loss_final", "survivors_a", "survivors_b",
+        "seed",
+    ],
+}
+
+
+@pytest.mark.parametrize("sub", list(CSV_HEADERS))
+def test_csv_header_is_pinned(sub, tmp_path):
+    """The report columns of every subcommand, in order."""
+    config = tmp_path / "cfg"
+    config.write_text(SMALL_CONFIGS[sub])
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(config), "--out", str(out)]) in (0, 1)
+    (report,) = out.iterdir()
+    lines = report.read_text().splitlines()
+    assert lines[2].split(",") == CSV_HEADERS[sub]
+    assert all(len(line.split(",")) == len(CSV_HEADERS[sub]) for line in lines[3:])

@@ -10,13 +10,16 @@ feature set approach the probability-reweighted computation on the full set:
   against the reweighted result.
 
 For sample sizes up to ``expand_threshold`` each trial runs the sampled
-computation literally, point by duplicated point.  Above the threshold the
-trial switches to an algebraically identical collapsed form: uniform
-attention, transport, and dual-softmax over duplicated points reduce exactly
-(iteration by iteration, with matching group sums) to their reweighted
-counterparts at the empirical frequencies, so only the unique points need to
-be processed.  The equivalence of the two routes is itself covered by tests;
-the collapse changes the arithmetic cost, not the sampled randomness.
+computation literally: every attention layer sums over all m sampled keys,
+duplicates included, while each distinct point's query runs once (its
+duplicates share its output column), and transport and dual-softmax run on
+the full m x m score matrix.  Above the threshold the trial switches to an
+algebraically identical collapsed form: uniform attention, transport, and
+dual-softmax over duplicated points reduce exactly (iteration by iteration,
+with matching group sums) to their reweighted counterparts at the empirical
+frequencies, so only the unique points need to be processed, as keys too.
+The equivalence of the two routes is itself covered by tests; the collapse
+changes the arithmetic cost, not the sampled randomness.
 """
 
 from __future__ import annotations

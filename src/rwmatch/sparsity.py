@@ -32,7 +32,7 @@ from .matching import (
     NumericalError,
     ot_reweighted,
 )
-from .transformer import FeatureSet, TransformerSpec, forward_reweighted
+from .transformer import FeatureSet, TransformerSpec, _index_array, forward_reweighted
 
 __all__ = [
     "ScoreHeadParams",
@@ -196,9 +196,9 @@ class MatchGroundTruth:
     unmatched_b: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
 
     def __post_init__(self) -> None:
-        pairs = np.asarray(self.pairs, dtype=np.intp).reshape(-1, 2)
-        unmatched_a = np.asarray(self.unmatched_a, dtype=np.intp).ravel()
-        unmatched_b = np.asarray(self.unmatched_b, dtype=np.intp).ravel()
+        pairs = _index_array(self.pairs, "ground-truth pairs").reshape(-1, 2)
+        unmatched_a = _index_array(self.unmatched_a, "unmatched A indices").ravel()
+        unmatched_b = _index_array(self.unmatched_b, "unmatched B indices").ravel()
         if pairs.shape[0] + unmatched_a.size + unmatched_b.size == 0:
             raise ValueError("ground truth must reference at least one cell")
         object.__setattr__(self, "pairs", pairs)

@@ -8,7 +8,10 @@ realizing an i.i.d. draw from those probabilities.
 The network embeds each point independently (affine on normalized coordinates
 concatenated with the descriptor) and then applies a stack of self and cross
 attention layers routed between the two sides.  ``forward`` runs standard
-attention on sampled sets; ``forward_reweighted`` runs reweighted attention
+attention on sampled sets: each layer's keys and values are all m sampled
+tokens in draw order, duplicates included, while its queries are the
+distinct sampled points only, since an output token depends on nothing but
+its own query and the keys.  ``forward_reweighted`` runs reweighted attention
 on the full sets, weighting each layer by the probabilities of whichever side
 supplies the keys.
 """
@@ -90,6 +93,25 @@ class FeatureSet:
         return replace(self, probs=probs)
 
 
+def _index_array(values, what: str) -> np.ndarray:
+    """values as an intp array of nonnegative integers.
+
+    Integral floats pass (an empty float array among them); a negative,
+    fractional or non-finite value raises ValueError instead of being
+    truncated or wrapped into a valid-looking index.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        valid = np.all(np.isfinite(arr) & (arr == np.trunc(arr)) & (arr >= 0) & (arr < 2.0**63))
+    else:
+        valid = arr.size == 0 or (
+            arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() <= np.iinfo(np.intp).max
+        )
+    if not valid:
+        raise ValueError(f"{what} must be nonnegative integers")
+    return arr.astype(np.intp)
+
+
 @dataclass(frozen=True)
 class SampledSet:
     """Multiset of indices into a feature set, in draw order.
@@ -102,10 +124,10 @@ class SampledSet:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        indices = np.asarray(self.indices, dtype=np.intp)
+        indices = _index_array(self.indices, "sample indices")
         if indices.ndim != 1 or indices.size == 0:
             raise ValueError("a sample must contain at least one index")
-        if np.any(indices < 0) or np.any(indices >= self.base.n):
+        if np.any(indices >= self.base.n):
             raise ValueError("sample indices must point into the base set")
         if np.any(self.base.probs.p[indices] == 0.0):
             raise ValueError("zero-probability points cannot be sampled")
@@ -201,34 +223,55 @@ def embed(spec: TransformerSpec, points: Union[FeatureSet, SampledSet]) -> np.nd
     return spec.embed.w @ feats + spec.embed.b[:, None]
 
 
+_ROUTE_SIDES = {
+    LayerRoute.SELF_A: (0, 0),
+    LayerRoute.SELF_B: (1, 1),
+    LayerRoute.CROSS_A_FROM_B: (0, 1),
+    LayerRoute.CROSS_B_FROM_A: (1, 0),
+}
+
+
 def _run_stack(
     spec: TransformerSpec,
-    tokens_a: np.ndarray,
-    tokens_b: np.ndarray,
-    weights_a: ProbabilityWeights | None,
-    weights_b: ProbabilityWeights | None,
+    tokens: tuple[np.ndarray, np.ndarray],
+    weights: tuple[ProbabilityWeights | None, ProbabilityWeights | None],
+    key_columns: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Run the layer stack on the (A, B) tokens.
+
+    Each layer's queries are the current tokens of its query side.  Its keys
+    and values are the tokens of its key side, gathered by that side's
+    ``key_columns`` when it is given (None: the tokens themselves).
+    """
+    tokens = list(tokens)
     for route, params in spec.layers:
-        if route is LayerRoute.SELF_A:
-            tokens_a = attention_layer_forward(tokens_a, tokens_a, tokens_a, params, weights_a)
-        elif route is LayerRoute.SELF_B:
-            tokens_b = attention_layer_forward(tokens_b, tokens_b, tokens_b, params, weights_b)
-        elif route is LayerRoute.CROSS_A_FROM_B:
-            tokens_a = attention_layer_forward(tokens_a, tokens_b, tokens_b, params, weights_b)
-        else:
-            tokens_b = attention_layer_forward(tokens_b, tokens_a, tokens_a, params, weights_a)
-    return tokens_a, tokens_b
+        q, k = _ROUTE_SIDES[route]
+        keys = tokens[k] if key_columns[k] is None else tokens[k][:, key_columns[k]]
+        tokens[q] = attention_layer_forward(tokens[q], keys, keys, params, weights[k])
+    return tokens[0], tokens[1]
 
 
 def forward(
     spec: TransformerSpec, sample_a: SampledSet, sample_b: SampledSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Standard network on two sampled sets; output columns follow sample order."""
+    """Standard network on two sampled sets; output columns follow sample order.
+
+    Every layer attends over all m sampled keys, duplicates included, but
+    computes one query per distinct point: a token depends only on its own
+    query and on the keys, so duplicated sample positions share one column,
+    and their outputs are bitwise equal.
+    """
     if not isinstance(sample_a, SampledSet) or not isinstance(sample_b, SampledSet):
         raise TypeError("forward expects SampledSet inputs; use forward_reweighted for full sets")
-    tokens_a = embed(spec, sample_a)
-    tokens_b = embed(spec, sample_b)
-    return _run_stack(spec, tokens_a, tokens_b, None, None)
+    distinct_a, inverse_a = np.unique(sample_a.indices, return_inverse=True)
+    distinct_b, inverse_b = np.unique(sample_b.indices, return_inverse=True)
+    out_a, out_b = _run_stack(
+        spec,
+        (embed(spec, sample_a.base)[:, distinct_a], embed(spec, sample_b.base)[:, distinct_b]),
+        (None, None),
+        (inverse_a, inverse_b),
+    )
+    return out_a[:, inverse_a], out_b[:, inverse_b]
 
 
 def forward_reweighted(
@@ -240,9 +283,7 @@ def forward_reweighted(
     that supplies the keys: self attention over A uses A's probabilities,
     cross attention of A-queries over B-keys uses B's, and symmetrically.
     """
-    tokens_a = embed(spec, set_a)
-    tokens_b = embed(spec, set_b)
-    return _run_stack(spec, tokens_a, tokens_b, set_a.probs, set_b.probs)
+    return _run_stack(spec, (embed(spec, set_a), embed(spec, set_b)), (set_a.probs, set_b.probs))
 
 
 def random_layer_params(

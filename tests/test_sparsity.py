@@ -152,6 +152,32 @@ class TestLosses:
                 MatchGroundTruth(pairs=np.empty((0, 2)), unmatched_a=np.array([5])),
             )
 
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("pairs", [[-1, 0]]),
+            ("pairs", [[0, -2]]),
+            ("pairs", [[0.7, 2.9]]),
+            ("pairs", [[np.nan, 0.0]]),
+            ("unmatched_a", [-1]),
+            ("unmatched_b", [1.5]),
+            ("unmatched_b", [np.inf]),
+        ],
+    )
+    def test_ground_truth_rejects_negative_or_fractional_indices(self, field, values):
+        """A negative index would read a dustbin or wrapped cell, and a
+        fractional one would be truncated: both are refused."""
+        kwargs = {"pairs": np.empty((0, 2)), "unmatched_a": [0]}
+        kwargs[field] = np.array(values)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            MatchGroundTruth(**kwargs)
+
+    def test_ground_truth_accepts_integral_floats(self):
+        gt = MatchGroundTruth(pairs=np.array([[1.0, 0.0]]), unmatched_b=np.array([2.0]))
+        assert gt.pairs.dtype == np.intp and gt.unmatched_b.dtype == np.intp
+        assert_array_equal(gt.pairs, [[1, 0]])
+        assert_array_equal(gt.unmatched_b, [2])
+
     def test_ground_truth_must_be_nonempty(self):
         with pytest.raises(ValueError):
             MatchGroundTruth(pairs=np.empty((0, 2)))

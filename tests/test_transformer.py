@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from rwmatch.attention import LinearSim, ProbabilityWeights, SoftmaxSim
+import rwmatch.transformer as transformer
+from rwmatch.attention import LinearSim, ProbabilityWeights, SoftmaxSim, attention_layer_forward
 from rwmatch.transformer import (
     DEFAULT_ROUTING,
     FeatureSet,
@@ -93,6 +94,22 @@ class TestSampledSet:
             SampledSet(fset, np.array([-1]))
         with pytest.raises(ValueError):
             SampledSet(fset, np.array([], dtype=int))
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[0.7, 2.9], [1.0, np.nan], [np.inf], [-1.0], [True, False], np.array([2**64 - 1], dtype=np.uint64)],
+    )
+    def test_non_integral_indices_rejected(self, indices):
+        """Indices are never truncated or wrapped into the base set."""
+        fset = make_set(np.random.default_rng(4), n=5)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            SampledSet(fset, np.array(indices))
+
+    def test_integral_float_indices_accepted(self):
+        fset = make_set(np.random.default_rng(4), n=5)
+        sample = SampledSet(fset, np.array([4.0, 0.0, 4.0]))
+        assert sample.indices.dtype == np.intp
+        assert_array_equal(sample.indices, [4, 0, 4])
 
     def test_zero_probability_points_cannot_be_sampled(self):
         rng = np.random.default_rng(5)
@@ -184,6 +201,103 @@ class TestForward:
         out_a1, _ = forward(spec, sa, full_sample(set_b1))
         out_a2, _ = forward(spec, sa, full_sample(set_b2))
         assert np.abs(out_a1 - out_a2).max() > 1e-8
+
+
+def reference_forward(spec, sample_a, sample_b):
+    """The literal network: every sample position embedded and run as a
+    query, each layer over all m_Q x m_K sample pairs."""
+    tokens_a, tokens_b = embed(spec, sample_a), embed(spec, sample_b)
+    for route, params in spec.layers:
+        if route is LayerRoute.SELF_A:
+            tokens_a = attention_layer_forward(tokens_a, tokens_a, tokens_a, params)
+        elif route is LayerRoute.SELF_B:
+            tokens_b = attention_layer_forward(tokens_b, tokens_b, tokens_b, params)
+        elif route is LayerRoute.CROSS_A_FROM_B:
+            tokens_a = attention_layer_forward(tokens_a, tokens_b, tokens_b, params)
+        else:
+            tokens_b = attention_layer_forward(tokens_b, tokens_a, tokens_a, params)
+    return tokens_a, tokens_b
+
+
+def sample_pair(kind, set_a, set_b, rng):
+    """Index arrays of one A and one B sample of the given kind."""
+    if kind == "heavily-duplicated":
+        # m = 64 drawn from 5 points of each side, every one of the 5 present
+        def draw(n):
+            return np.concatenate([np.arange(5), rng.choice(5, size=59)])[rng.permutation(64)]
+        return draw(set_a.n), draw(set_b.n)
+    if kind == "duplicate-free":
+        return rng.permutation(set_a.n), rng.permutation(set_b.n)[:5]
+    return np.array([0, 3, 3, 1, 3, 5, 3]), np.array([2, 4, 2])
+
+
+SAMPLE_KINDS = ["heavily-duplicated", "duplicate-free", "one-index-repeated"]
+
+
+class TestDistinctQueries:
+    """forward runs one query per distinct sampled point against all m keys."""
+
+    @pytest.mark.parametrize("kind", SAMPLE_KINDS)
+    @pytest.mark.parametrize(
+        "sim", [SoftmaxSim(), SoftmaxSim(tau=1.7), LinearSim()], ids=["tau1", "tau1.7", "linear"]
+    )
+    def test_matches_literal_network(self, sim, kind):
+        rng = np.random.default_rng(30)
+        set_a, set_b = make_set(rng, n=7, d_desc=6), make_set(rng, n=6, d_desc=6)
+        spec = random_transformer_spec(rng, d=8, sim=sim)
+        idx_a, idx_b = sample_pair(kind, set_a, set_b, rng)
+        sa, sb = SampledSet(set_a, idx_a), SampledSet(set_b, idx_b)
+        out = forward(spec, sa, sb)
+        ref = reference_forward(spec, sa, sb)
+        for got, want, idx in zip(out, ref, (idx_a, idx_b)):
+            assert got.shape == want.shape == (8, idx.size)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            # duplicated sample positions hold bitwise copies of one column
+            _, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
+            assert_array_equal(got, got[:, first[inverse]])
+
+    def test_layers_see_distinct_queries_and_all_keys(self, monkeypatch):
+        calls = []
+
+        def spy(x_q, x_k, x_v, params, weights=None):
+            out = attention_layer_forward(x_q, x_k, x_v, params, weights)
+            calls.append((x_q, x_k, x_v, out))
+            return out
+
+        monkeypatch.setattr(transformer, "attention_layer_forward", spy)
+        rng = np.random.default_rng(31)
+        set_a, set_b = make_set(rng, n=7, d_desc=6), make_set(rng, n=6, d_desc=6)
+        spec = random_transformer_spec(rng, d=8, depth=2)
+        idx_a, idx_b = sample_pair("heavily-duplicated", set_a, set_b, rng)
+        idx_b = idx_b[:40]
+        forward(spec, SampledSet(set_a, idx_a), SampledSet(set_b, idx_b))
+        distinct = (np.unique(idx_a).size, np.unique(idx_b).size)
+        sizes = (idx_a.size, idx_b.size)
+        sides = {
+            LayerRoute.SELF_A: (0, 0),
+            LayerRoute.SELF_B: (1, 1),
+            LayerRoute.CROSS_A_FROM_B: (0, 1),
+            LayerRoute.CROSS_B_FROM_A: (1, 0),
+        }
+        assert len(calls) == len(spec.layers)
+        for (route, _), (x_q, x_k, x_v, _) in zip(spec.layers, calls):
+            q, k = sides[route]
+            assert x_q.shape[1] == distinct[q]
+            assert x_k.shape[1] == x_v.shape[1] == sizes[k]
+
+        # the reweighted network hands each layer the key side's current
+        # tokens as they are: no gather, no copy
+        calls.clear()
+        forward_reweighted(spec, set_a, set_b)
+        current = [None, None]
+        for (route, _), (x_q, x_k, x_v, out) in zip(spec.layers, calls):
+            q, k = sides[route]
+            assert x_k is x_v
+            if q == k:
+                assert x_k is x_q
+            if current[k] is not None:
+                assert x_k is current[k]
+            current[q] = out
 
 
 class TestForwardReweighted:

@@ -49,7 +49,6 @@ from .sampling import (
     EXPAND_THRESHOLD_MATCHING,
     ConvergenceReport,
     SizeStats,
-    empirical_weights,
     random_feature_set,
     run_attention_convergence,
     run_matching_convergence,

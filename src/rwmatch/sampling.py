@@ -19,11 +19,18 @@ dual-softmax over duplicated points reduce exactly (iteration by iteration,
 with matching group sums) to their reweighted counterparts at the empirical
 frequencies, so only the unique points need to be processed, as keys too.
 The equivalence of the two routes is itself covered by tests; the collapse
-changes the arithmetic cost, not the sampled randomness.
+changes the arithmetic cost, not the sampled randomness.  A collapsed trial
+needs only each point's draw count, so it counts the draws chunk by chunk
+and never forms the m-point sample.
+
+The runners draw through one inverse-CDF sampler per set and run, which maps
+each uniform through a lookup table and gives the indices of
+``Generator.choice`` with ``p``, draw for draw, from the same stream.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +62,6 @@ __all__ = [
     "random_feature_set",
     "trial_rng",
     "similarity_label",
-    "empirical_weights",
     "run_attention_convergence",
     "run_matching_convergence",
     "EXPAND_THRESHOLD_ATTENTION",
@@ -64,6 +70,12 @@ __all__ = [
 
 EXPAND_THRESHOLD_ATTENTION = 1024
 EXPAND_THRESHOLD_MATCHING = 512
+
+# cells of the sampler's lookup table, and the most uniforms drawn at once by
+# a collapsed trial: 64 KB, below glibc's default mmap threshold of 128 KB, so
+# no chunk needs a fresh mapping
+_TABLE_CELLS = 4096
+_COUNT_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -115,14 +127,17 @@ def sample_iid(
 ) -> SampledSet:
     """Draw n indices independently with the set's detection probabilities.
 
-    Identical seeds give identical samples.  Points with zero probability are
-    never drawn.
+    The indices equal ``Generator.choice(fset.n, size=n, p=fset.probs.p)`` on
+    the same generator, draw for draw, and the generator ends in the same
+    state.  Identical seeds give
+    identical samples.  Points with zero probability are never drawn.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    indices = rng.choice(fset.n, size=n, p=fset.probs.p)
-    return SampledSet(fset, indices)
+    # a one-off draw builds the lookup table only when it pays for itself
+    sampler = _InverseCdf(fset.probs.p, _TABLE_CELLS if n >= _TABLE_CELLS else 1)
+    return SampledSet(fset, sampler.draw(rng, n))
 
 
 def random_feature_set(
@@ -172,10 +187,50 @@ def similarity_label(spec: TransformerSpec) -> str:
     return type(sim).__name__
 
 
-def empirical_weights(indices: np.ndarray, n: int) -> ProbabilityWeights:
-    """Normalized occurrence frequencies of each full-set index in a sample."""
-    counts = np.bincount(indices, minlength=n).astype(np.float64)
-    return ProbabilityWeights(counts)
+class _InverseCdf:
+    """Index draws with probabilities p, equal to ``Generator.choice`` with p.
+
+    choice binary-searches each uniform u in the normalized cumulative sum.
+    Here [0, 1) is cut into ``cells`` equal cells (a power of two, so the cell
+    of u is exact), and a table holds the drawn index of every cell that no
+    CDF value splits; only the uniforms in split cells are searched.  A draw
+    consumes the same uniforms as choice, so the stream stays in step.
+    """
+
+    def __init__(self, p: np.ndarray, cells: int = _TABLE_CELLS) -> None:
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self.cdf = cdf
+        self.cells = cells
+        self.table = None
+        if cells > 1:
+            edges = np.arange(cells + 1) / cells
+            first = cdf.searchsorted(edges[:-1], side="right")
+            # the index is constant on a cell iff no CDF value lies strictly inside it
+            split = first != cdf.searchsorted(edges[1:], side="left")
+            self.table = np.where(split, -1, first)
+
+    def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """m indices, drawn from m uniforms of rng."""
+        u = rng.random(m)
+        if self.table is None:
+            return self.cdf.searchsorted(u, side="right")
+        idx = self.table[(u * self.cells).astype(np.intp)]
+        split = np.flatnonzero(idx < 0)
+        idx[split] = self.cdf.searchsorted(u[split], side="right")
+        return idx
+
+    def frequencies(self, rng: np.random.Generator, m: int) -> ProbabilityWeights:
+        """Empirical frequencies of m draws, counted chunk by chunk.
+
+        Consumes the uniforms of ``draw(rng, m)`` and equals the normalized
+        bincount of its indices bit for bit.
+        """
+        n = self.cdf.size
+        counts = np.zeros(n, dtype=np.intp)
+        for start in range(0, m, _COUNT_CHUNK):
+            counts += np.bincount(self.draw(rng, min(_COUNT_CHUNK, m - start)), minlength=n)
+        return ProbabilityWeights(counts.astype(np.float64))
 
 
 def _group_sum(values: np.ndarray, ia: np.ndarray, ib: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
@@ -188,9 +243,17 @@ def _group_sum(values: np.ndarray, ia: np.ndarray, ib: np.ndarray, n_a: int, n_b
 
 
 def _check_sizes(sizes) -> tuple[int, ...]:
-    sizes = tuple(int(m) for m in sizes)
-    if len(sizes) == 0 or any(m < 1 for m in sizes):
+    sizes = tuple(sizes)
+    # bools, fractions and non-finite values raise instead of being truncated
+    if len(sizes) == 0 or not all(
+        isinstance(m, numbers.Real)
+        and not isinstance(m, bool)
+        and (isinstance(m, numbers.Integral) or float(m).is_integer())
+        and m >= 1
+        for m in sizes
+    ):
         raise ValueError("sizes must be positive integers")
+    sizes = tuple(int(m) for m in sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
     return sizes
@@ -232,23 +295,22 @@ def run_attention_convergence(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     full_a, full_b = forward_reweighted(spec, set_a, set_b)
+    sampler_a, sampler_b = _InverseCdf(set_a.probs.p), _InverseCdf(set_b.probs.p)
     entries = []
     for m in sizes:
         errors = []
         for t in range(trials):
             rng = trial_rng(seed, m, t)
-            sample_a = sample_iid(set_a, m, rng)
-            sample_b = sample_iid(set_b, m, rng)
-            idx_a, idx_b = sample_a.indices, sample_b.indices
             if expand_threshold is None or m <= expand_threshold:
-                out_a, out_b = forward(spec, sample_a, sample_b)
+                idx_a, idx_b = sampler_a.draw(rng, m), sampler_b.draw(rng, m)
+                out_a, out_b = forward(spec, SampledSet(set_a, idx_a), SampledSet(set_b, idx_b))
                 err = max(
                     np.abs(out_a - full_a[:, idx_a]).max(),
                     np.abs(out_b - full_b[:, idx_b]).max(),
                 )
             else:
-                hat_a = empirical_weights(idx_a, set_a.n)
-                hat_b = empirical_weights(idx_b, set_b.n)
+                hat_a = sampler_a.frequencies(rng, m)
+                hat_b = sampler_b.frequencies(rng, m)
                 out_a, out_b = forward_reweighted(
                     spec, set_a.with_probs(hat_a), set_b.with_probs(hat_b)
                 )
@@ -309,16 +371,15 @@ def run_matching_convergence(
         full = dual_softmax_reweighted(
             score_matrix(full_a, full_b), set_a.probs, set_b.probs
         )
+    sampler_a, sampler_b = _InverseCdf(set_a.probs.p), _InverseCdf(set_b.probs.p)
     entries = []
     for m in sizes:
         errors = []
         for t in range(trials):
             rng = trial_rng(seed, m, t)
-            sample_a = sample_iid(set_a, m, rng)
-            sample_b = sample_iid(set_b, m, rng)
-            idx_a, idx_b = sample_a.indices, sample_b.indices
             if expand_threshold is None or m <= expand_threshold:
-                tok_a, tok_b = forward(spec, sample_a, sample_b)
+                idx_a, idx_b = sampler_a.draw(rng, m), sampler_b.draw(rng, m)
+                tok_a, tok_b = forward(spec, SampledSet(set_a, idx_a), SampledSet(set_b, idx_b))
                 if method == "ot":
                     sampled = ot_uniform(
                         tok_a, tok_b, alpha=alpha, eps=eps,
@@ -328,8 +389,8 @@ def run_matching_convergence(
                     sampled = dual_softmax(score_matrix(tok_a, tok_b))
                 grouped = _group_sum(sampled, idx_a, idx_b, set_a.n, set_b.n)
             else:
-                hat_a = empirical_weights(idx_a, set_a.n)
-                hat_b = empirical_weights(idx_b, set_b.n)
+                hat_a = sampler_a.frequencies(rng, m)
+                hat_b = sampler_b.frequencies(rng, m)
                 tok_a, tok_b = forward_reweighted(
                     spec, set_a.with_probs(hat_a), set_b.with_probs(hat_b)
                 )

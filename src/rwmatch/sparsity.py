@@ -1,6 +1,6 @@
 """Sparse detection: score head, losses, gradient-free training, and pruning.
 
-A score head maps each descriptor independently to a score in (0, 1), acting
+A score head maps each descriptor independently to a score in [0, 1], acting
 as a learned detector: the scores become the detection probabilities of the
 reweighted pipeline.  Training minimizes a matching loss plus lambda times
 the L1 norm of the scores, so larger lambda buys sparser score maps.  The
@@ -79,8 +79,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class ScoreHeadParams:
     """Two affine stages per descriptor: tanh hidden layer, then logistic output.
 
-    The score of descriptor f is sigmoid(w_2 . tanh(w_1 f + b_1) + b_2),
-    always strictly inside (0, 1).
+    The score of descriptor f is sigmoid(w_2 . tanh(w_1 f + b_1) + b_2), in
+    [0, 1]: the sigmoid rounds to exactly 1.0 for logits above about 36.7 and
+    to exactly 0.0 below about -745.
     """
 
     w_1: np.ndarray
@@ -245,7 +246,7 @@ def random_matching_problem(
 
 
 def score_head_forward(params: ScoreHeadParams, fset: FeatureSet) -> np.ndarray:
-    """Per-point scores in (0, 1); point i's score depends only on descriptor i."""
+    """Per-point scores in [0, 1]; point i's score depends only on descriptor i."""
     if fset.descriptors.shape[0] != params.d_desc:
         raise ValueError(
             f"head expects {params.d_desc}-dimensional descriptors, "
@@ -256,7 +257,7 @@ def score_head_forward(params: ScoreHeadParams, fset: FeatureSet) -> np.ndarray:
 
 
 def sparsity_loss(scores: np.ndarray) -> float:
-    """L1 norm of a score map; scores are positive, so this is their sum."""
+    """L1 norm of a score map; scores are nonnegative, so this is their sum."""
     return float(np.sum(scores))
 
 

@@ -1,13 +1,17 @@
 """Unit tests for sampling, grouping, and the convergence experiment harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rwmatch.attention import LinearSim, ProbabilityWeights, SoftmaxSim
 from rwmatch.sampling import (
+    _COUNT_CHUNK,
+    _TABLE_CELLS,
     ConvergenceReport,
-    empirical_weights,
+    _InverseCdf,
     random_feature_set,
     run_attention_convergence,
     run_matching_convergence,
@@ -57,11 +61,122 @@ class TestSampleIid:
         s2 = sample_iid(fset, 10, gen)
         assert np.any(s1.indices != s2.indices)
 
+    @pytest.mark.parametrize("n_draws", [1, 16, _TABLE_CELLS - 1, _TABLE_CELLS, 3 * _TABLE_CELLS + 7])
+    def test_matches_generator_choice(self, n_draws):
+        """With and without the lookup table, the sample is choice's, and
+        the generator ends in choice's state."""
+        rng = np.random.default_rng(4)
+        fset = random_feature_set(rng, n_points=16)
+        ours, oracle = np.random.default_rng(9), np.random.default_rng(9)
+        sample = sample_iid(fset, n_draws, ours)
+        assert_array_equal(sample.indices, oracle.choice(16, size=n_draws, p=fset.probs.p))
+        assert ours.random() == oracle.random()
 
-class TestGrouping:
-    def test_empirical_weights(self):
-        w = empirical_weights(np.array([0, 2, 2, 3]), 5)
-        assert_allclose(w.p, [0.25, 0.0, 0.5, 0.25, 0.0])
+
+class _FixedUniforms:
+    """Stands in for a Generator whose uniforms are chosen by the test."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, m):
+        assert m == self.u.size
+        return self.u.copy()
+
+
+def assert_draws_like_choice(p, m, seed, cells=_TABLE_CELLS):
+    """The sampler's indices equal ``rng.choice`` draw for draw, and both
+    generators end in the same state."""
+    ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _InverseCdf(p, cells).draw(ours, m)
+    want = oracle.choice(p.size, size=m, p=p)
+    assert got.dtype == want.dtype
+    assert_array_equal(got, want)
+    assert ours.random() == oracle.random()
+
+
+class TestInverseCdf:
+    def test_random_cases_match_choice(self):
+        """About 200 random (n, m, table size) cases, some with zero
+        probabilities, some with m across the counting chunk's boundaries."""
+        rng = np.random.default_rng(21)
+        for case in range(200):
+            n = int(rng.integers(1, 41))
+            m = int(rng.integers(1, 70_001))
+            if case % 10 == 0:
+                m = _COUNT_CHUNK * int(rng.integers(1, 5)) + int(rng.integers(-1, 2))
+            raw = rng.dirichlet(np.ones(n))
+            if case % 3 == 0:
+                raw[rng.random(n) < 0.3] = 0.0
+                raw[int(rng.integers(n))] += 0.1
+            cells = 1 << int(rng.integers(0, 13))
+            assert_draws_like_choice(ProbabilityWeights(raw).p, m, seed=case, cells=cells)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [0.3, 0.0, 0.7, 0.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.0, 0.5, 0.0, 0.5, 0.0],
+            [1.0, 0.0, 0.0, 0.0],
+        ],
+    )
+    def test_zero_probability_points(self, raw):
+        p = ProbabilityWeights(raw).p
+        assert_draws_like_choice(p, 50_000, seed=3)
+        counts = np.bincount(_InverseCdf(p).draw(np.random.default_rng(3), 50_000), minlength=p.size)
+        assert np.all(counts[p == 0.0] == 0)
+
+    @pytest.mark.parametrize("cells", [1, 2, 4, 8, _TABLE_CELLS])
+    def test_cdf_values_on_cell_edges(self, cells):
+        """Dyadic probabilities put CDF values exactly on cell edges; a
+        uniform on an edge takes the index searchsorted(side='right') gives."""
+        p = ProbabilityWeights([0.25, 0.25, 0.125, 0.125, 0.25]).p
+        assert_draws_like_choice(p, 20_000, seed=5, cells=cells)
+        cdf = p.cumsum()
+        u = np.concatenate(
+            [cdf[:-1], np.nextafter(cdf[:-1], 0.0), np.nextafter(cdf[:-1], 1.0), [0.0, np.nextafter(1.0, 0.0)]]
+        )
+        got = _InverseCdf(p, cells).draw(_FixedUniforms(u), u.size)
+        assert_array_equal(got, cdf.searchsorted(u, side="right"))
+
+    def test_edge_cdf_values_leave_no_split_cells(self):
+        p = ProbabilityWeights([0.25, 0.25, 0.5]).p
+        assert np.all(_InverseCdf(p, 4).table >= 0)
+
+    def test_more_points_than_cells(self):
+        rng = np.random.default_rng(6)
+        assert_draws_like_choice(ProbabilityWeights(rng.dirichlet(np.ones(40))).p, 30_000, seed=7, cells=8)
+        p = ProbabilityWeights(rng.dirichlet(np.ones(2 * _TABLE_CELLS))).p
+        assert_draws_like_choice(p, 30_000, seed=8)
+
+    @pytest.mark.parametrize(
+        "m", [1, 100, _COUNT_CHUNK - 1, _COUNT_CHUNK, _COUNT_CHUNK + 1, 3 * _COUNT_CHUNK + 5]
+    )
+    def test_frequencies_equal_bincount_of_draws(self, m):
+        p = ProbabilityWeights([0.1, 0.0, 0.4, 0.2, 0.3, 0.0]).p
+        sampler = _InverseCdf(p)
+        counted, drawn = np.random.default_rng(11), np.random.default_rng(11)
+        hat = sampler.frequencies(counted, m)
+        counts = np.bincount(sampler.draw(drawn, m), minlength=p.size).astype(np.float64)
+        assert_array_equal(hat.p, ProbabilityWeights(counts).p)
+        assert counted.random() == drawn.random()
+
+    @pytest.mark.parametrize("method", ["attention", "ot"])
+    def test_collapsed_trial_never_forms_the_sample(self, method):
+        """A collapsed trial at m = 2^20 counts its draws chunk by chunk; the
+        m-point sample alone would take 8 MB a side."""
+        set_a, set_b, spec = toy_assets(22)
+        run = run_attention_convergence if method == "attention" else run_matching_convergence
+        run(spec, set_a, set_b, (2048,), 1, seed=0)  # first-call allocations are not the trial's
+        tracemalloc.start()
+        try:
+            report = run(spec, set_a, set_b, (2**20,), 1, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.entries[0].sample_size == 2**20
+        assert peak < 2 * 2**20
 
 
 class TestRandomFeatureSet:
@@ -148,6 +263,22 @@ class TestAttentionConvergence:
             run_attention_convergence(spec, set_a, set_b, (), 5, seed=0)
         with pytest.raises(ValueError):
             run_attention_convergence(spec, set_a, set_b, (8,), 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "sizes", [(10.7, 20.9), (True,), (8, float("nan")), (float("inf"),), (0,), (-4,), ("8",)]
+    )
+    def test_sizes_are_not_truncated(self, sizes):
+        set_a, set_b, spec = toy_assets(14)
+        with pytest.raises(ValueError, match="sizes must be positive integers"):
+            run_attention_convergence(spec, set_a, set_b, sizes, 2, seed=0)
+        with pytest.raises(ValueError, match="sizes must be positive integers"):
+            run_matching_convergence(spec, set_a, set_b, sizes, 2, seed=0)
+
+    def test_integral_sizes_of_any_type_accepted(self):
+        set_a, set_b, spec = toy_assets(14)
+        report = run_attention_convergence(spec, set_a, set_b, (8.0, np.int64(16)), 2, seed=0)
+        assert [e.sample_size for e in report.entries] == [8, 16]
+        assert all(type(e.sample_size) is int for e in report.entries)
 
 
 class TestMatchingConvergence:

@@ -129,15 +129,14 @@ def sample_iid(
 
     The indices equal ``Generator.choice(fset.n, size=n, p=fset.probs.p)`` on
     the same generator, draw for draw, and the generator ends in the same
-    state.  Identical seeds give
-    identical samples.  Points with zero probability are never drawn.
+    state.  Identical seeds give identical samples.  Points with zero
+    probability are never drawn.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    # a one-off draw builds the lookup table only when it pays for itself
-    sampler = _InverseCdf(fset.probs.p, _TABLE_CELLS if n >= _TABLE_CELLS else 1)
-    return SampledSet(fset, sampler.draw(rng, n))
+    # one draw does not repay the lookup table: search every uniform, as choice does
+    return SampledSet(fset, _cdf(fset.probs.p).searchsorted(rng.random(n), side="right"))
 
 
 def random_feature_set(
@@ -187,6 +186,13 @@ def similarity_label(spec: TransformerSpec) -> str:
     return type(sim).__name__
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Normalized cumulative sum of p, built as ``Generator.choice`` builds it."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 class _InverseCdf:
     """Index draws with probabilities p, equal to ``Generator.choice`` with p.
 
@@ -198,23 +204,17 @@ class _InverseCdf:
     """
 
     def __init__(self, p: np.ndarray, cells: int = _TABLE_CELLS) -> None:
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        self.cdf = cdf
+        self.cdf = cdf = _cdf(p)
         self.cells = cells
-        self.table = None
-        if cells > 1:
-            edges = np.arange(cells + 1) / cells
-            first = cdf.searchsorted(edges[:-1], side="right")
-            # the index is constant on a cell iff no CDF value lies strictly inside it
-            split = first != cdf.searchsorted(edges[1:], side="left")
-            self.table = np.where(split, -1, first)
+        edges = np.arange(cells + 1) / cells
+        first = cdf.searchsorted(edges[:-1], side="right")
+        # the index is constant on a cell iff no CDF value lies strictly inside it
+        split = first != cdf.searchsorted(edges[1:], side="left")
+        self.table = np.where(split, -1, first)
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m indices, drawn from m uniforms of rng."""
         u = rng.random(m)
-        if self.table is None:
-            return self.cdf.searchsorted(u, side="right")
         idx = self.table[(u * self.cells).astype(np.intp)]
         split = np.flatnonzero(idx < 0)
         idx[split] = self.cdf.searchsorted(u[split], side="right")

@@ -61,10 +61,9 @@ class TestSampleIid:
         s2 = sample_iid(fset, 10, gen)
         assert np.any(s1.indices != s2.indices)
 
-    @pytest.mark.parametrize("n_draws", [1, 16, _TABLE_CELLS - 1, _TABLE_CELLS, 3 * _TABLE_CELLS + 7])
+    @pytest.mark.parametrize("n_draws", [1, 16, 1000, 3 * _TABLE_CELLS + 7, 70_000])
     def test_matches_generator_choice(self, n_draws):
-        """With and without the lookup table, the sample is choice's, and
-        the generator ends in choice's state."""
+        """The sample is choice's, and the generator ends in choice's state."""
         rng = np.random.default_rng(4)
         fset = random_feature_set(rng, n_points=16)
         ours, oracle = np.random.default_rng(9), np.random.default_rng(9)

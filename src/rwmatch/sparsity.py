@@ -197,9 +197,9 @@ class MatchGroundTruth:
     unmatched_b: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
 
     def __post_init__(self) -> None:
-        pairs = _index_array(self.pairs, "ground-truth pairs").reshape(-1, 2)
-        unmatched_a = _index_array(self.unmatched_a, "unmatched A indices").ravel()
-        unmatched_b = _index_array(self.unmatched_b, "unmatched B indices").ravel()
+        pairs = _index_array(self.pairs, "ground-truth pairs")[0].reshape(-1, 2)
+        unmatched_a = _index_array(self.unmatched_a, "unmatched A indices")[0].ravel()
+        unmatched_b = _index_array(self.unmatched_b, "unmatched B indices")[0].ravel()
         if pairs.shape[0] + unmatched_a.size + unmatched_b.size == 0:
             raise ValueError("ground truth must reference at least one cell")
         object.__setattr__(self, "pairs", pairs)

@@ -93,23 +93,32 @@ class FeatureSet:
         return replace(self, probs=probs)
 
 
-def _index_array(values, what: str) -> np.ndarray:
-    """values as an intp array of nonnegative integers.
+_INTP_MAX = np.iinfo(np.intp).max
+
+
+def _index_array(values, what: str) -> tuple[np.ndarray, int]:
+    """values as an intp array of nonnegative integers, and its largest entry
+    (-1 when it is empty).
 
     Integral floats pass (an empty float array among them); a negative,
     fractional or non-finite value raises ValueError instead of being
     truncated or wrapped into a valid-looking index.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind == "f":
+    hi = -1
+    if arr.size == 0:
+        valid = True
+    elif arr.dtype.kind == "f":
         valid = np.all(np.isfinite(arr) & (arr == np.trunc(arr)) & (arr >= 0) & (arr < 2.0**63))
+        hi = int(arr.max()) if valid else hi
     else:
-        valid = arr.size == 0 or (
-            arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() <= np.iinfo(np.intp).max
-        )
+        valid = arr.dtype.kind in "iu"
+        if valid:
+            lo, hi = arr.min(), arr.max()
+            valid = lo >= 0 and hi <= _INTP_MAX
     if not valid:
         raise ValueError(f"{what} must be nonnegative integers")
-    return arr.astype(np.intp)
+    return arr.astype(np.intp, copy=False), int(hi)
 
 
 @dataclass(frozen=True)
@@ -124,12 +133,13 @@ class SampledSet:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        indices = _index_array(self.indices, "sample indices")
+        indices, hi = _index_array(self.indices, "sample indices")
         if indices.ndim != 1 or indices.size == 0:
             raise ValueError("a sample must contain at least one index")
-        if np.any(indices >= self.base.n):
+        if hi >= self.base.n:
             raise ValueError("sample indices must point into the base set")
-        if np.any(self.base.probs.p[indices] == 0.0):
+        # probabilities are finite and nonnegative, so all() means none is zero
+        if not self.base.probs.p[indices].all():
             raise ValueError("zero-probability points cannot be sampled")
         object.__setattr__(self, "indices", indices)
 

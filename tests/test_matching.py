@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import logsumexp, softmax
 
 import rwmatch
+from rwmatch import matching
 from rwmatch.attention import ProbabilityWeights
 from rwmatch.matching import (
     NumericalError,
@@ -76,10 +77,12 @@ def reference_dual_softmax(scores, p_a=None, p_b=None):
     return np.exp(log_ds)
 
 
-def pipeline_transport_problem(d, n_heads, n_points):
+def pipeline_transport_problem(d, n_heads, n_points, network_seed=0):
     """Augmented scores and marginals of a ``forward_reweighted`` pair: the
     inputs the transport route of the pipeline really produces."""
-    spec = random_transformer_spec(np.random.default_rng(0), d=d, n_heads=n_heads)
+    spec = random_transformer_spec(
+        np.random.default_rng(network_seed), d=d, n_heads=n_heads
+    )
     rng = np.random.default_rng([0, n_points])
     set_a = random_feature_set(rng, n_points=n_points, grid=64.0)
     set_b = random_feature_set(rng, n_points=n_points - n_points // 8, grid=64.0)
@@ -225,21 +228,26 @@ def _extreme_ratio_case():
     return sbar, rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(5)), 0.05, 2000, 1e-9
 
 
+REFERENCE_CASES = [
+    pytest.param(lambda: _pipeline_case(8, 2, 16), id="d8-n16"),
+    pytest.param(lambda: _pipeline_case(8, 2, 64), id="d8-n64"),
+    pytest.param(lambda: _pipeline_case(64, 4, 16), id="d64-n16"),
+    pytest.param(lambda: _pipeline_case(64, 4, 64), id="d64-n64"),
+    pytest.param(_zero_marginal_case, id="zero-marginal"),
+    pytest.param(_extreme_ratio_case, id="extreme-ratio"),
+]
+
+
 class TestSinkhornAgainstLogDomainReference:
-    """The exp-domain solver follows the log-domain trajectory: same stopping
+    """Without over-relaxation (the path the safeguard falls back to) the
+    exp-domain solver follows the log-domain trajectory: same stopping
     iteration, same converged flag, plans equal to round-off."""
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            pytest.param(lambda: _pipeline_case(8, 2, 16), id="d8-n16"),
-            pytest.param(lambda: _pipeline_case(8, 2, 64), id="d8-n64"),
-            pytest.param(lambda: _pipeline_case(64, 4, 16), id="d64-n16"),
-            pytest.param(lambda: _pipeline_case(64, 4, 64), id="d64-n64"),
-            pytest.param(_zero_marginal_case, id="zero-marginal"),
-            pytest.param(_extreme_ratio_case, id="extreme-ratio"),
-        ],
-    )
+    @pytest.fixture(autouse=True)
+    def plain_scaling(self, monkeypatch):
+        monkeypatch.setattr(matching, "_OMEGA", 1.0)
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
     def test_matches_reference(self, case):
         sbar, a, b, eps, max_iters, tol = case()
         plan, iterations, converged = reference_sinkhorn(sbar, a, b, eps, max_iters, tol)
@@ -249,10 +257,35 @@ class TestSinkhornAgainstLogDomainReference:
         assert_allclose(result.plan, plan, rtol=0, atol=1e-12)
 
 
+class TestOverrelaxedSinkhornAgainstReference:
+    """Over-relaxed scaling takes another path to the same plan: a converged
+    plan lies within 1e-8 of the plain log-domain solver's, run with a budget
+    of 20000 iterations, which needs at least as many iterations.  (The
+    extreme-ratio case converges in neither.)"""
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_reaches_reference_plan_no_later(self, case):
+        sbar, a, b, eps, max_iters, tol = case()
+        plan, iterations, converged = reference_sinkhorn(sbar, a, b, eps, 20000, tol)
+        result = sinkhorn(sbar, a, b, eps, max_iters=max_iters, tol=tol)
+        assert result.iterations <= iterations
+        if result.converged:
+            assert converged
+            assert_allclose(result.plan, plan, rtol=0, atol=1e-8)
+
+
 class TestSinkhornOnPipelineScores:
     @pytest.mark.parametrize("n_points", [16, 256])
     def test_converges_at_defaults_on_d8_network(self, n_points):
         sbar, a, b = pipeline_transport_problem(8, 2, n_points)
+        result = sinkhorn(sbar, a, b, eps=0.1)
+        assert result.converged
+        assert result.residual <= 1e-9
+
+    @pytest.mark.parametrize("network_seed", [0, 1])
+    def test_converges_at_defaults_on_d64_network(self, network_seed):
+        """Plain scaling stops at the 200-iteration cap on these scores."""
+        sbar, a, b = pipeline_transport_problem(64, 4, 16, network_seed)
         result = sinkhorn(sbar, a, b, eps=0.1)
         assert result.converged
         assert result.residual <= 1e-9
@@ -319,6 +352,44 @@ class TestOtRoutes:
             tol=0.0,
         )
         assert_allclose(grouped, rw.plan, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "seed, scale, falls_back",
+        [
+            pytest.param(9, 0.5, False, id="converging"),
+            pytest.param(22, 5.0, True, id="fallback"),
+            pytest.param(31, 5.0, False, id="stalled"),
+        ],
+    )
+    def test_duplication_identity_through_overrelaxation(
+        self, monkeypatch, seed, scale, falls_back
+    ):
+        """Over 200 untolerated iterations the grouped uniform plan of a
+        duplicated set equals the reweighted plan, also where the safeguard
+        falls back to plain scaling: its L1 error does not change under
+        duplication, so both routes switch at the same iteration.  The
+        fallback shows as a plan unlike the never-guarded one.  In the
+        stalled case the error stays flat to round-off for ten iterations,
+        where a switch decided by round-off would split the routes."""
+        rng = np.random.default_rng(seed)
+        tokens_a, tokens_b = random_problem(rng, n_a=5, n_b=4, scale=scale)
+        mult_a = np.array([2, 1, 3, 1, 2])
+        mult_b = np.array([1, 3, 2, 2])
+        rep_a = np.repeat(np.arange(5), mult_a)
+        rep_b = np.repeat(np.arange(4), mult_b)
+        p_a = ProbabilityWeights(mult_a.astype(np.float64))
+        p_b = ProbabilityWeights(mult_b.astype(np.float64))
+        kwargs = dict(max_iters=200, tol=0.0)
+        expanded = ot_uniform(tokens_a[:, rep_a], tokens_b[:, rep_b], **kwargs)
+        grouped = np.zeros((6, 5))
+        ga = np.concatenate([rep_a, [5]])
+        gb = np.concatenate([rep_b, [4]])
+        np.add.at(grouped, (ga[:, None], gb[None, :]), expanded.plan)
+        rw = ot_reweighted(tokens_a, tokens_b, p_a, p_b, **kwargs)
+        assert_allclose(grouped, rw.plan, rtol=0, atol=1e-12)
+        monkeypatch.setattr(matching, "_SAFEGUARD_WINDOW", 200)
+        unguarded = ot_reweighted(tokens_a, tokens_b, p_a, p_b, **kwargs)
+        assert (np.abs(unguarded.plan - rw.plan).max() > 1e-6) == falls_back
 
     def test_duplication_with_active_tolerance_is_close(self):
         """With tolerance-based stopping the two routes may stop at different

@@ -12,7 +12,7 @@ underlying pair approaches the reweighted matching of the full sets.  This
 script first dissects one small transport plan, then prints the convergence
 table for both routes.
 
-Run it directly: python demos/matching_convergence.py  (about 30 seconds)
+Run it directly: python demos/matching_convergence.py  (about a second)
 """
 
 import numpy as np

@@ -10,7 +10,7 @@ point; the error decays like 1/sqrt(m).
 This script builds a toy network, sweeps the sample size, and prints the
 error quantiles per size for both similarity kinds.
 
-Run it directly: python demos/network_convergence.py  (about 30 seconds)
+Run it directly: python demos/network_convergence.py  (about a second)
 """
 
 import numpy as np

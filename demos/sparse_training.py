@@ -11,7 +11,7 @@ presses the scores toward zero and the surviving points get sparser.
 After training, pruning rules (threshold, top-k, non-maximum suppression)
 turn the score map into a smaller feature set.
 
-Run it directly: python demos/sparse_training.py  (about a minute)
+Run it directly: python demos/sparse_training.py  (one to two seconds)
 """
 
 import numpy as np

@@ -53,8 +53,6 @@ from .sampling import (
     run_attention_convergence,
     run_matching_convergence,
     sample_iid,
-    similarity_label,
-    trial_rng,
 )
 from .sparsity import (
     LOSS_FLOOR,

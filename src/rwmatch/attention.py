@@ -100,6 +100,9 @@ class ProbabilityWeights:
         if np.any(p < 0.0):
             raise ValueError("weights must be nonnegative")
         total = p.sum()
+        # finite entries can overflow the total, which would normalize to all zeros
+        if not np.isfinite(total):
+            raise ValueError("weights must have a finite sum")
         if total <= 0.0:
             raise ValueError("at least one weight must be positive")
         object.__setattr__(self, "p", p / total)

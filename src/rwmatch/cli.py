@@ -59,7 +59,6 @@ from .sparsity import (
     random_score_head,
     score_head_forward,
     select_survivors,
-    sparsity_loss,
     train_score_head,
 )
 from .transformer import random_transformer_spec
@@ -498,6 +497,7 @@ def _run_sparsify(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
     )
     rule = cfg.prune_rule()
     sparsity_cfg = SparsityConfig(lam=cfg.lam, rule=rule)
+    loss_kw = dict(alpha=cfg.alpha, eps=cfg.eps, max_iters=cfg.iters, tol=cfg.tol)
     rows = []
     for trial in range(cfg.resolved_trials()):
         init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _STREAM_INIT, trial]))
@@ -505,16 +505,14 @@ def _run_sparsify(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
         train_seed = int(
             np.random.SeedSequence([cfg.seed, _STREAM_TRAIN, trial]).generate_state(1)[0]
         )
-        loss_kw = dict(alpha=cfg.alpha, eps=cfg.eps, max_iters=cfg.iters, tol=cfg.tol)
-        loss_initial, _, _ = pipeline_loss(init, spec, set_a, set_b, gt, cfg.lam, **loss_kw)
-        l1_initial = sparsity_loss(score_head_forward(init, set_a)) + sparsity_loss(
-            score_head_forward(init, set_b)
+        loss_initial, _, l1_initial = pipeline_loss(
+            init, spec, set_a, set_b, gt, cfg.lam, **loss_kw
         )
         trained, _ = train_score_head(
             init, spec, set_a, set_b, gt, sparsity_cfg, cfg.steps, train_seed,
             ot_alpha=cfg.alpha, ot_eps=cfg.eps, ot_max_iters=cfg.iters, ot_tol=cfg.tol,
         )
-        loss_final, _, _ = pipeline_loss(trained, spec, set_a, set_b, gt, cfg.lam, **loss_kw)
+        loss_final, _, l1_final = pipeline_loss(trained, spec, set_a, set_b, gt, cfg.lam, **loss_kw)
         scores_a = score_head_forward(trained, set_a)
         scores_b = score_head_forward(trained, set_b)
         rows.append(
@@ -525,7 +523,7 @@ def _run_sparsify(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
                 "steps": cfg.steps,
                 "trial": trial,
                 "l1_initial": float(l1_initial),
-                "l1_final": float(sparsity_loss(scores_a) + sparsity_loss(scores_b)),
+                "l1_final": float(l1_final),
                 "loss_initial": float(loss_initial),
                 "loss_final": float(loss_final),
                 "survivors_a": int(select_survivors(scores_a, rule, set_a.coords).size),

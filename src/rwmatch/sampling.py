@@ -23,9 +23,10 @@ changes the arithmetic cost, not the sampled randomness.  A collapsed trial
 needs only each point's draw count, so it counts the draws chunk by chunk
 and never forms the m-point sample.
 
-The runners draw through one inverse-CDF sampler per set and run, which maps
-each uniform through a lookup table and gives the indices of
-``Generator.choice`` with ``p``, draw for draw, from the same stream.
+Every draw, ``sample_iid``'s too, goes through one inverse-CDF sampler, which
+maps each uniform through a lookup table and gives the indices of
+``Generator.choice`` with ``p``, draw for draw, from the same stream.  Both
+experiments run one trial loop and supply only their two computations.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ __all__ = [
     "ConvergenceReport",
     "sample_iid",
     "random_feature_set",
-    "trial_rng",
-    "similarity_label",
     "run_attention_convergence",
     "run_matching_convergence",
     "EXPAND_THRESHOLD_ATTENTION",
@@ -135,8 +134,8 @@ def sample_iid(
     if n < 1:
         raise ValueError("sample size must be at least 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    # one draw does not repay the lookup table: search every uniform, as choice does
-    return SampledSet(fset, _cdf(fset.probs.p).searchsorted(rng.random(n), side="right"))
+    # the convergence runners' sampler: every draw in the package takes one path
+    return SampledSet(fset, _InverseCdf(fset.probs.p).draw(rng, n))
 
 
 def random_feature_set(
@@ -169,12 +168,12 @@ def random_feature_set(
     )
 
 
-def trial_rng(seed: int, sample_size: int, trial: int) -> np.random.Generator:
+def _trial_rng(seed: int, sample_size: int, trial: int) -> np.random.Generator:
     """Independent deterministic stream for one (sample size, trial) cell."""
     return np.random.default_rng(np.random.SeedSequence([seed, sample_size, trial]))
 
 
-def similarity_label(spec: TransformerSpec) -> str:
+def _similarity_label(spec: TransformerSpec) -> str:
     """Short name of the similarity the network's layers use."""
     if not spec.layers:
         return "none"
@@ -184,13 +183,6 @@ def similarity_label(spec: TransformerSpec) -> str:
     if isinstance(sim, LinearSim):
         return "linear"
     return type(sim).__name__
-
-
-def _cdf(p: np.ndarray) -> np.ndarray:
-    """Normalized cumulative sum of p, built as ``Generator.choice`` builds it."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf
 
 
 class _InverseCdf:
@@ -204,7 +196,9 @@ class _InverseCdf:
     """
 
     def __init__(self, p: np.ndarray, cells: int = _TABLE_CELLS) -> None:
-        self.cdf = cdf = _cdf(p)
+        # the normalized cumulative sum, built as choice builds it
+        self.cdf = cdf = p.cumsum()
+        cdf /= cdf[-1]
         self.cells = cells
         edges = np.arange(cells + 1) / cells
         first = cdf.searchsorted(edges[:-1], side="right")
@@ -272,6 +266,59 @@ def _stats(sample_size: int, errors: list[float]) -> SizeStats:
     )
 
 
+def _converge(
+    experiment: str,
+    method: str,
+    spec: TransformerSpec,
+    set_a: FeatureSet,
+    set_b: FeatureSet,
+    sizes,
+    trials: int,
+    seed: int,
+    expand_threshold: int | None,
+    reweighted,
+    literal,
+) -> ConvergenceReport:
+    """The trial loop of both convergence experiments.
+
+    ``reweighted(p_a, p_b)`` runs the reweighted computation on the full sets
+    at weights p_a and p_b: once at the sets' own probabilities for the
+    reference, and for each collapsed trial at the empirical frequencies.
+    ``literal(idx_a, idx_b)`` runs the sampled computation on the drawn
+    indices.  Both return one (values, cols, points) triple per compared
+    quantity: ``values[:, cols]`` holds the values of the full-set points
+    ``points``, and a trial's error is their largest absolute difference to
+    the reference's values of the same points.
+    """
+    sizes = _check_sizes(sizes)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    reference = [values for values, _, _ in reweighted(set_a.probs, set_b.probs)]
+    sampler_a, sampler_b = _InverseCdf(set_a.probs.p), _InverseCdf(set_b.probs.p)
+    entries = []
+    for m in sizes:
+        errors = []
+        for t in range(trials):
+            rng = _trial_rng(seed, m, t)
+            if expand_threshold is None or m <= expand_threshold:
+                got = literal(sampler_a.draw(rng, m), sampler_b.draw(rng, m))
+            else:
+                got = reweighted(sampler_a.frequencies(rng, m), sampler_b.frequencies(rng, m))
+            err = max(
+                np.abs(v[:, cols] - ref[:, points]).max()
+                for (v, cols, points), ref in zip(got, reference)
+            )
+            errors.append(float(err))
+        entries.append(_stats(m, errors))
+    return ConvergenceReport(
+        experiment=experiment,
+        similarity=_similarity_label(spec),
+        method=method,
+        seed=seed,
+        entries=tuple(entries),
+    )
+
+
 def run_attention_convergence(
     spec: TransformerSpec,
     set_a: FeatureSet,
@@ -291,43 +338,19 @@ def run_attention_convergence(
     over trials.  ``expand_threshold`` of None always runs the literal
     sampled network.
     """
-    sizes = _check_sizes(sizes)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    full_a, full_b = forward_reweighted(spec, set_a, set_b)
-    sampler_a, sampler_b = _InverseCdf(set_a.probs.p), _InverseCdf(set_b.probs.p)
-    entries = []
-    for m in sizes:
-        errors = []
-        for t in range(trials):
-            rng = trial_rng(seed, m, t)
-            if expand_threshold is None or m <= expand_threshold:
-                idx_a, idx_b = sampler_a.draw(rng, m), sampler_b.draw(rng, m)
-                out_a, out_b = forward(spec, SampledSet(set_a, idx_a), SampledSet(set_b, idx_b))
-                err = max(
-                    np.abs(out_a - full_a[:, idx_a]).max(),
-                    np.abs(out_b - full_b[:, idx_b]).max(),
-                )
-            else:
-                hat_a = sampler_a.frequencies(rng, m)
-                hat_b = sampler_b.frequencies(rng, m)
-                out_a, out_b = forward_reweighted(
-                    spec, set_a.with_probs(hat_a), set_b.with_probs(hat_b)
-                )
-                seen_a = hat_a.p > 0.0
-                seen_b = hat_b.p > 0.0
-                err = max(
-                    np.abs(out_a[:, seen_a] - full_a[:, seen_a]).max(),
-                    np.abs(out_b[:, seen_b] - full_b[:, seen_b]).max(),
-                )
-            errors.append(float(err))
-        entries.append(_stats(m, errors))
-    return ConvergenceReport(
-        experiment="attention-converge",
-        similarity=similarity_label(spec),
-        method="attention",
-        seed=seed,
-        entries=tuple(entries),
+
+    # only the tokens of points a trial drew are compared
+    def reweighted(p_a, p_b):
+        outs = forward_reweighted(spec, set_a.with_probs(p_a), set_b.with_probs(p_b))
+        return [(out, seen, seen) for out, seen in zip(outs, (p_a.p > 0.0, p_b.p > 0.0))]
+
+    def literal(idx_a, idx_b):
+        outs = forward(spec, SampledSet(set_a, idx_a), SampledSet(set_b, idx_b))
+        return [(out, slice(None), idx) for out, idx in zip(outs, (idx_a, idx_b))]
+
+    return _converge(
+        "attention-converge", "attention", spec, set_a, set_b,
+        sizes, trials, seed, expand_threshold, reweighted, literal,
     )
 
 
@@ -356,59 +379,29 @@ def run_matching_convergence(
     empty group sums to zero.  Dustbins are excluded: grouped sums have no
     dustbin counterpart.
     """
-    sizes = _check_sizes(sizes)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     if method not in ("ot", "dual-softmax"):
         raise ValueError(f"method must be 'ot' or 'dual-softmax', got {method!r}")
-    full_a, full_b = forward_reweighted(spec, set_a, set_b)
-    if method == "ot":
-        full = ot_reweighted(
-            full_a, full_b, set_a.probs, set_b.probs,
-            alpha=alpha, eps=eps, max_iters=max_iters, tol=tol,
-        ).interior
-    else:
-        full = dual_softmax_reweighted(
-            score_matrix(full_a, full_b), set_a.probs, set_b.probs
-        )
-    sampler_a, sampler_b = _InverseCdf(set_a.probs.p), _InverseCdf(set_b.probs.p)
-    entries = []
-    for m in sizes:
-        errors = []
-        for t in range(trials):
-            rng = trial_rng(seed, m, t)
-            if expand_threshold is None or m <= expand_threshold:
-                idx_a, idx_b = sampler_a.draw(rng, m), sampler_b.draw(rng, m)
-                tok_a, tok_b = forward(spec, SampledSet(set_a, idx_a), SampledSet(set_b, idx_b))
-                if method == "ot":
-                    sampled = ot_uniform(
-                        tok_a, tok_b, alpha=alpha, eps=eps,
-                        max_iters=max_iters, tol=tol,
-                    ).interior
-                else:
-                    sampled = dual_softmax(score_matrix(tok_a, tok_b))
-                grouped = _group_sum(sampled, idx_a, idx_b, set_a.n, set_b.n)
-            else:
-                hat_a = sampler_a.frequencies(rng, m)
-                hat_b = sampler_b.frequencies(rng, m)
-                tok_a, tok_b = forward_reweighted(
-                    spec, set_a.with_probs(hat_a), set_b.with_probs(hat_b)
-                )
-                if method == "ot":
-                    grouped = ot_reweighted(
-                        tok_a, tok_b, hat_a, hat_b,
-                        alpha=alpha, eps=eps, max_iters=max_iters, tol=tol,
-                    ).interior
-                else:
-                    grouped = dual_softmax_reweighted(
-                        score_matrix(tok_a, tok_b), hat_a, hat_b
-                    )
-            errors.append(float(np.abs(grouped - full).max()))
-        entries.append(_stats(m, errors))
-    return ConvergenceReport(
-        experiment="matching-converge",
-        similarity=similarity_label(spec),
-        method=method,
-        seed=seed,
-        entries=tuple(entries),
+    ot_kw = dict(alpha=alpha, eps=eps, max_iters=max_iters, tol=tol)
+
+    # every pair is compared, the never-sampled ones too
+    def reweighted(p_a, p_b):
+        tok_a, tok_b = forward_reweighted(spec, set_a.with_probs(p_a), set_b.with_probs(p_b))
+        if method == "ot":
+            grouped = ot_reweighted(tok_a, tok_b, p_a, p_b, **ot_kw).interior
+        else:
+            grouped = dual_softmax_reweighted(score_matrix(tok_a, tok_b), p_a, p_b)
+        return [(grouped, slice(None), slice(None))]
+
+    def literal(idx_a, idx_b):
+        tok_a, tok_b = forward(spec, SampledSet(set_a, idx_a), SampledSet(set_b, idx_b))
+        if method == "ot":
+            sampled = ot_uniform(tok_a, tok_b, **ot_kw).interior
+        else:
+            sampled = dual_softmax(score_matrix(tok_a, tok_b))
+        grouped = _group_sum(sampled, idx_a, idx_b, set_a.n, set_b.n)
+        return [(grouped, slice(None), slice(None))]
+
+    return _converge(
+        "matching-converge", method, spec, set_a, set_b,
+        sizes, trials, seed, expand_threshold, reweighted, literal,
     )

@@ -103,6 +103,7 @@ class TestProbabilityWeights:
             np.array([-0.1, 1.1]),
             np.array([np.nan, 1.0]),
             np.array([np.inf, 1.0]),
+            pytest.param(np.array([1e308, 1e308, 1.0]), id="sum-overflows"),
         ],
     )
     def test_rejects_invalid(self, bad):

@@ -15,6 +15,7 @@ from rwmatch.cli import (
     run,
     serialize_config,
 )
+from rwmatch.matching import NumericalError
 
 SMALL_CONVERGE = "sizes = 8, 32\ntrials = 4\nn_points = 6\nd = 4\n"
 SMALL_SINKHORN = "trials = 8\n"
@@ -38,10 +39,12 @@ class TestParseConfig:
         assert cfg.tau == 0.5
 
     def test_json_object(self):
-        cfg = parse_config(json.dumps({"seed": 3, "sizes": [8, 16], "lambda": 0.7}))
+        cfg = parse_config(json.dumps({"seed": 3, "sizes": [8, 16], "lambda": 0.7, "trials": 2.0}))
         assert cfg.seed == 3
         assert cfg.sizes == (8, 16)
         assert cfg.lam == 0.7
+        # an integral float is accepted for an integer key
+        assert cfg.trials == 2 and type(cfg.trials) is int
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -98,6 +101,22 @@ class TestParseConfig:
     def test_out_of_range_values_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"trials": true}', "trials: expected an integer, got True"),
+            ('{"trials": 2.5}', "trials: expected an integer, got 2.5"),
+            ('{"tau": true}', "tau: expected a real number, got True"),
+            ("tau = inf\n", "tau: must be finite, got 'inf'"),
+            ("tau = nan\n", "tau: must be finite, got 'nan'"),
+            ('{"sizes": 5}', "sizes: expected a comma-separated list, got 5"),
+        ],
+    )
+    def test_malformed_values_named(self, text, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert message in str(exc.value)
 
     def test_round_trip(self):
         cfg = ExperimentConfig(
@@ -196,6 +215,16 @@ class TestRun:
         cfg = ExperimentConfig(experiment="sinkhorn-check", trials=2)
         assert run(cfg, out_dir="/proc/definitely/not/writable", fmt="csv") == 3
 
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg):
+            raise NumericalError("no finite plan")
+
+        monkeypatch.setitem(EXPERIMENTS, "sinkhorn-check", ("sinkhorn-check", 500, fail))
+        cfg = ExperimentConfig(experiment="sinkhorn-check", trials=2)
+        assert run(cfg, out_dir=str(tmp_path), fmt="csv") == 2
+        assert "numerical failure: no finite plan" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestMain:
     def test_pass_and_report(self, tmp_path, capsys):
@@ -219,6 +248,17 @@ class TestMain:
         )
         assert code == 1
         assert (tmp_path / "attention-converge.csv").exists()
+
+    def test_single_size_converge_passes(self, tmp_path, capsys):
+        """One size cannot show a factor-2 drop; such a smoke run passes."""
+        config = tmp_path / "cfg"
+        config.write_text("sizes = 64\ntrials = 3\nn_points = 6\nd = 4\n")
+        code = main(
+            ["converge-attn", "--config", str(config), "--seed", "0", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        lines = (tmp_path / "attention-converge.csv").read_text().splitlines()
+        assert len(lines) == 4
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         config = tmp_path / "cfg"

@@ -12,14 +12,14 @@ from rwmatch.sampling import (
     _TABLE_CELLS,
     ConvergenceReport,
     _InverseCdf,
+    _similarity_label,
+    _trial_rng,
     random_feature_set,
     run_attention_convergence,
     run_matching_convergence,
     sample_iid,
-    similarity_label,
-    trial_rng,
 )
-from rwmatch.transformer import SampledSet, random_transformer_spec
+from rwmatch.transformer import SampledSet, forward, forward_reweighted, random_transformer_spec
 
 
 def toy_assets(seed, n_points=6, sim=None):
@@ -200,10 +200,10 @@ class TestRandomFeatureSet:
 
 class TestTrialRng:
     def test_streams_are_deterministic_and_distinct(self):
-        a = trial_rng(1, 64, 3).standard_normal(4)
-        b = trial_rng(1, 64, 3).standard_normal(4)
-        c = trial_rng(1, 64, 4).standard_normal(4)
-        d = trial_rng(1, 128, 3).standard_normal(4)
+        a = _trial_rng(1, 64, 3).standard_normal(4)
+        b = _trial_rng(1, 64, 3).standard_normal(4)
+        c = _trial_rng(1, 64, 4).standard_normal(4)
+        d = _trial_rng(1, 128, 3).standard_normal(4)
         assert_array_equal(a, b)
         assert np.any(a != c)
         assert np.any(a != d)
@@ -212,9 +212,9 @@ class TestTrialRng:
 class TestSimilarityLabel:
     def test_labels(self):
         rng = np.random.default_rng(10)
-        assert similarity_label(random_transformer_spec(rng, d=4)) == "softmax"
-        assert similarity_label(random_transformer_spec(rng, d=4, sim=LinearSim())) == "linear"
-        assert similarity_label(random_transformer_spec(rng, d=4, depth=0)) == "none"
+        assert _similarity_label(random_transformer_spec(rng, d=4)) == "softmax"
+        assert _similarity_label(random_transformer_spec(rng, d=4, sim=LinearSim())) == "linear"
+        assert _similarity_label(random_transformer_spec(rng, d=4, depth=0)) == "none"
 
 
 class TestAttentionConvergence:
@@ -231,6 +231,21 @@ class TestAttentionConvergence:
             assert 0.0 <= e.q25 <= e.q50 <= e.q75 <= e.max_err
         rows = report.rows()
         assert len(rows) == 2 and rows[0]["q50"] == report.entries[0].q50
+
+    def test_trial_error_covers_both_sides(self):
+        """One literal trial, recomputed with ``Generator.choice`` draws: its
+        error is the larger of the two sides' per-token distances."""
+        set_a, set_b, spec = toy_assets(22)
+        report = run_attention_convergence(spec, set_a, set_b, (9,), 1, seed=5)
+        rng = _trial_rng(5, 9, 0)
+        idx_a = rng.choice(set_a.n, size=9, p=set_a.probs.p)
+        idx_b = rng.choice(set_b.n, size=9, p=set_b.probs.p)
+        out_a, out_b = forward(spec, SampledSet(set_a, idx_a), SampledSet(set_b, idx_b))
+        full_a, full_b = forward_reweighted(spec, set_a, set_b)
+        err_a = np.abs(out_a - full_a[:, idx_a]).max()
+        err_b = np.abs(out_b - full_b[:, idx_b]).max()
+        assert err_b > err_a  # the case is chosen so that side b decides
+        assert report.entries[0].max_err == err_b
 
     def test_errors_shrink_with_sample_size(self):
         set_a, set_b, spec = toy_assets(12)
